@@ -201,8 +201,10 @@
 //! (`SupgSession::sampler_strategy(..)`, or `sampler` on
 //! [`selectors::SelectorConfig`]) selects the O(log n)-draw CDF fallback
 //! sampler — one prefix-sum pass to build — either always (`Cdf`) or only
-//! while the recipe is cold (`Auto`, which promotes to the cached alias
-//! table once a recipe recurs). Strategies consume the seeded RNG stream
+//! while the recipe is cold (`Auto`: one planner rule, applied to planned
+//! and unplanned sessions alike, caches the CDF artifacts at first sight
+//! and promotes the recipe to the cached alias table once it recurs).
+//! Strategies consume the seeded RNG stream
 //! differently, so each is deterministic but they are not bit-for-bit
 //! interchangeable; the CDF path carries the same `1 − δ` guarantee
 //! (checked empirically in `tests/guarantees.rs`). Finally,
@@ -325,8 +327,11 @@
 //! that snapshot. How signals map to decisions:
 //!
 //! * **Sampler**: an `Auto` request resolves from the cache state —
-//!   cold recipes take the cheapest measured build (CDF), recurring ones
-//!   promote to the cached alias table; any explicit strategy is a pin.
+//!   cold recipes take the cheapest measured build (CDF, cached at first
+//!   sight), recurring ones promote to the cached alias table; any
+//!   explicit strategy is a pin. This is the only rule that resolves
+//!   `Auto`: an unplanned `Auto` request applies it too, and the artifact
+//!   cache itself is a plain keyed LRU.
 //! * **Parallelism / batching**: latency-bound oracles (high EWMA) get
 //!   oversubscribed workers and fine batches, throughput-bound ones one
 //!   worker per core and large batches; a caller-set

@@ -239,8 +239,9 @@ pub struct Plan {
     /// The concrete sampler backend (never
     /// [`SamplerStrategy::Auto`] — resolution is the planner's job).
     pub sampler: SamplerStrategy,
-    /// Chunk count for rank/alias/segment builds (1 = serial; > 1 only
-    /// when the calibration measured chunking faster).
+    /// Chunk count for this corpus's builds (1 = serial; > 1 only when
+    /// the calibration measured chunking faster). A report: the builds
+    /// take the same count from [`planned_chunks`].
     pub chunks: usize,
     /// One [`Decision`] per resolved knob, in resolution order.
     pub rationale: Vec<Decision>,
@@ -284,6 +285,21 @@ impl Plan {
     }
 }
 
+/// The one rule that turns [`SamplerStrategy::Auto`] into a backend, from
+/// the cache state of the query's weight recipe: a cold recipe pays the
+/// cheapest measured build (the CDF scan, cached from first sight), and a
+/// recurring one — CDF or alias already cached — draws through the cached
+/// O(1)-draw alias table. [`Plan::resolve`] and
+/// [`PreparedDataset::artifacts_with`](crate::prepared::PreparedDataset::artifacts_with)
+/// both resolve `Auto` here, so planned and unplanned sessions keep the
+/// same cache state.
+pub(crate) fn auto_sampler(recipe: RecipeState) -> SamplerStrategy {
+    match recipe {
+        RecipeState::Cold => SamplerStrategy::Cdf,
+        RecipeState::WarmCdf | RecipeState::WarmAlias => SamplerStrategy::Alias,
+    }
+}
+
 fn resolve_sampler(s: &PlanSignals, rationale: &mut Vec<Decision>) -> SamplerStrategy {
     let mut sampler = if let Some(pin) =
         s.policy.pin_sampler.filter(|p| *p != SamplerStrategy::Auto)
@@ -299,48 +315,28 @@ fn resolve_sampler(s: &PlanSignals, rationale: &mut Vec<Decision>) -> SamplerStr
             because: "pinned by caller".to_owned(),
         });
         s.requested_sampler
-    } else if !s.prepared {
-        // Cold view: no cache, every build is one-shot. Pay whichever
-        // build the calibration measured cheaper.
-        rationale.push(Decision {
-            choice: "sampler=cdf".to_owned(),
-            because: "cold view: one-shot CDF scan is the cheapest measured build".to_owned(),
-        });
-        SamplerStrategy::Cdf
     } else {
-        match s.recipe {
-            RecipeState::WarmAlias => {
-                rationale.push(Decision {
-                    choice: "sampler=alias".to_owned(),
-                    because: "alias artifacts cached for this recipe (warm hit)".to_owned(),
-                });
-                SamplerStrategy::Alias
+        // A cold view has no cache, so every recipe it serves is cold.
+        let recipe = if s.prepared {
+            s.recipe
+        } else {
+            RecipeState::Cold
+        };
+        let because = match (s.prepared, recipe) {
+            (false, _) => "cold view: no artifact cache, so every build is one-shot",
+            (true, RecipeState::Cold) => "cold recipe: cache the cheapest measured build first",
+            (true, RecipeState::WarmCdf) => {
+                "recipe recurring (CDF cached from first sight); promote to alias \
+                 — O(1) draws beat per-draw CDF binary search once warm"
             }
-            RecipeState::WarmCdf => {
-                rationale.push(Decision {
-                    choice: "sampler=alias".to_owned(),
-                    because: "recipe recurring (CDF cached from first sight); promote to alias \
-                              — O(1) draws beat per-draw CDF binary search once warm"
-                        .to_owned(),
-                });
-                SamplerStrategy::Alias
-            }
-            RecipeState::SeenOnce => {
-                rationale.push(Decision {
-                    choice: "sampler=alias".to_owned(),
-                    because: "recipe recurring (Auto saw it once); promote to cached alias"
-                        .to_owned(),
-                });
-                SamplerStrategy::Alias
-            }
-            RecipeState::Cold => {
-                rationale.push(Decision {
-                    choice: "sampler=cdf".to_owned(),
-                    because: "cold recipe: cache the cheapest measured build first".to_owned(),
-                });
-                SamplerStrategy::Cdf
-            }
-        }
+            (true, RecipeState::WarmAlias) => "alias artifacts cached for this recipe (warm hit)",
+        };
+        let sampler = auto_sampler(recipe);
+        rationale.push(Decision {
+            choice: format!("sampler={}", strategy_name(sampler)),
+            because: because.to_owned(),
+        });
+        sampler
     };
     if s.policy.forbid_cdf && sampler == SamplerStrategy::Cdf {
         rationale.push(Decision {
@@ -653,8 +649,6 @@ mod tests {
     fn auto_promotes_cold_to_warm_like_the_auto_strategy() {
         let mut s = base_signals();
         assert_eq!(Plan::resolve(&s).sampler, SamplerStrategy::Cdf);
-        s.recipe = RecipeState::SeenOnce;
-        assert_eq!(Plan::resolve(&s).sampler, SamplerStrategy::Alias);
         s.recipe = RecipeState::WarmAlias;
         assert_eq!(Plan::resolve(&s).sampler, SamplerStrategy::Alias);
         s.recipe = RecipeState::WarmCdf;

@@ -39,9 +39,10 @@
 //! artifact; a truly one-shot query does not need O(1) draws at all.
 //! [`SamplerStrategy`] picks the backend per query: `Alias` (the
 //! default, preserving every bit-parity contract), `Cdf` (always the
-//! single-pass [`CdfSampler`] build), or `Auto` (CDF for cold one-shot
-//! queries, promoted to the cached alias table once a recipe recurs).
-//! The strategy rides on
+//! single-pass [`CdfSampler`] build), or `Auto`, which the planner's one
+//! rule resolves from the recipe's cache state: CDF while the recipe is
+//! cold (and the CDF artifacts are cached from that first sight), the
+//! cached alias table once it recurs. The strategy rides on
 //! [`SelectorConfig::sampler`](crate::selectors::SelectorConfig) and is
 //! surfaced as `SupgSession::sampler_strategy(..)`.
 //!
@@ -73,7 +74,7 @@
 //! [`QueryOutcome`](crate::session::QueryOutcome)s (enforced by
 //! `crates/core/tests/prepared_parity.rs`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -86,6 +87,7 @@ use supg_sampling::{
 
 use crate::data::ScoredDataset;
 use crate::error::SupgError;
+use crate::plan::auto_sampler;
 use crate::rank::RankIndex;
 use crate::runtime::{self, RuntimeConfig};
 use crate::segment::{Corpus, SegmentedDataset};
@@ -110,9 +112,10 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 /// a seeded query samples. Each *backend* is individually deterministic —
 /// same data, seed and backend always reproduce the same
 /// [`QueryOutcome`](crate::session::QueryOutcome); under `Auto` the
-/// backend itself depends on the artifact-cache state (a cold recipe
-/// draws through the CDF, a recurring one through the alias table), so
-/// only `Alias` and `Cdf` are reproducible independent of query history.
+/// backend itself depends on the artifact-cache state ([`RecipeState`]:
+/// a cold recipe draws through the CDF, a recurring one through the alias
+/// table), so only `Alias` and `Cdf` are reproducible independent of
+/// query history.
 /// Every strategy carries the identical statistical guarantee (pinned by
 /// `crates/core/tests/sampler_parity.rs` and the CDF configurations in
 /// `crates/core/tests/guarantees.rs`).
@@ -125,28 +128,27 @@ pub enum SamplerStrategy {
     /// Always the O(log n)-draw CDF sampler (cheapest possible setup for
     /// every query; prepared sessions cache the CDF artifacts instead).
     Cdf,
-    /// Cold views and the first request for a recipe on a prepared
-    /// dataset serve a fresh one-shot CDF sampler; from the second
-    /// request on (or after [`PreparedDataset::warm`]) the recipe's alias
-    /// table is built, cached and served. Trades the cold/warm bit-parity
-    /// of [`Alias`](SamplerStrategy::Alias) for minimum time-to-first-
-    /// result on fresh corpora.
+    /// Resolved per request by the planner's one rule from the recipe's
+    /// [`RecipeState`], planned or not: a cold recipe (and every request
+    /// on a cold view) draws through the CDF, whose artifacts a prepared
+    /// dataset caches at first sight; once the recipe recurs (or after
+    /// [`PreparedDataset::warm`]) its alias table is built, cached and
+    /// served. Trades the cold/warm bit-parity of
+    /// [`Alias`](SamplerStrategy::Alias) for minimum time-to-first-result
+    /// on fresh corpora.
     Auto,
 }
 
 /// Where a weight recipe stands in a [`PreparedDataset`]'s artifact
-/// cache — the cache-state signal the adaptive planner
-/// ([`crate::plan`]) resolves sampler strategies from. Obtained via
-/// [`PreparedDataset::recipe_state`], a *pure peek*: unlike
-/// [`PreparedDataset::artifacts_with`] it never builds anything, never
-/// counts a hit or miss, and never advances `Auto`'s promotion memory.
+/// cache — the signal the planner's one rule resolves
+/// [`SamplerStrategy::Auto`] from, for planned sessions and for unplanned
+/// `Auto` requests alike. Obtained via [`PreparedDataset::recipe_state`],
+/// a *pure peek*: unlike [`PreparedDataset::artifacts_with`] it never
+/// builds anything and never counts a hit or miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecipeState {
-    /// Never requested — any build will be paid from scratch.
+    /// Nothing cached — any build will be paid from scratch.
     Cold,
-    /// [`SamplerStrategy::Auto`] served its uncached one-shot CDF for
-    /// this recipe; its next request promotes to a cached alias table.
-    SeenOnce,
     /// CDF artifacts are cached for this recipe.
     WarmCdf,
     /// The alias table is cached — the O(1)-draw steady state.
@@ -538,6 +540,42 @@ fn build_alias_pooled(weights: &ImportanceWeights, runs: usize) -> AliasTable {
     AliasTable::from_feeds(feeds)
 }
 
+/// Builds one recipe's artifacts for a corpus layout and backend — the
+/// one place the build dispatches over layout × backend, shared by the
+/// prepared cache and cold views.
+fn build_artifacts(
+    corpus: Corpus<'_>,
+    exponent: f64,
+    uniform_mix: f64,
+    cdf: bool,
+    rt: &RuntimeConfig,
+) -> WeightArtifacts {
+    match (corpus, cdf) {
+        (Corpus::Flat(d), false) => {
+            WeightArtifacts::build_with(d.scores(), exponent, uniform_mix, rt)
+        }
+        (Corpus::Flat(d), true) => {
+            WeightArtifacts::build_cdf_with(d.scores(), exponent, uniform_mix, rt)
+        }
+        (Corpus::Segmented(s), false) => {
+            WeightArtifacts::build_segmented_with(s, exponent, uniform_mix, rt)
+        }
+        (Corpus::Segmented(s), true) => {
+            WeightArtifacts::build_segmented_cdf_with(s, exponent, uniform_mix, rt)
+        }
+    }
+}
+
+/// Whether `strategy` draws through the CDF backend. `Auto` is resolved
+/// by the planner's rule ([`auto_sampler`]) from the recipe's cache state.
+fn draws_cdf(strategy: SamplerStrategy, recipe: impl FnOnce() -> RecipeState) -> bool {
+    let concrete = match strategy {
+        SamplerStrategy::Auto => auto_sampler(recipe()),
+        concrete => concrete,
+    };
+    concrete == SamplerStrategy::Cdf
+}
+
 /// Cache key: the exact bit patterns of the weight recipe plus the
 /// sampler backend and the corpus segment layout, so recipes that differ
 /// by any representable amount — or by how they draw, or by how the
@@ -553,24 +591,13 @@ struct RecipeKey {
 }
 
 impl RecipeKey {
-    fn alias(exponent: f64, uniform_mix: f64) -> Self {
+    fn new(exponent: f64, uniform_mix: f64, cdf: bool, layout: u64) -> Self {
         Self {
             exponent_bits: exponent.to_bits(),
             mix_bits: uniform_mix.to_bits(),
-            cdf: false,
-            layout: 0,
+            cdf,
+            layout,
         }
-    }
-
-    fn cdf(exponent: f64, uniform_mix: f64) -> Self {
-        Self {
-            cdf: true,
-            ..Self::alias(exponent, uniform_mix)
-        }
-    }
-
-    fn with_layout(self, layout: u64) -> Self {
-        Self { layout, ..self }
     }
 }
 
@@ -581,15 +608,13 @@ struct CacheEntry {
     last_used: AtomicU64,
 }
 
-/// The `RwLock`-guarded cache state: recipe → [`CacheEntry`], the
-/// capacity bound, and the recipes [`SamplerStrategy::Auto`] has served a
-/// one-shot CDF for (its "second request promotes to alias" memory).
-/// The monotone recency clock lives *outside* the lock (on
-/// [`PreparedDataset`]) so warm hits never need the write lock.
+/// The `RwLock`-guarded cache state: a plain keyed LRU of recipe →
+/// [`CacheEntry`] under a capacity bound. The monotone recency clock
+/// lives *outside* the lock (on [`PreparedDataset`]) so warm hits never
+/// need the write lock.
 struct ArtifactCache {
     map: HashMap<RecipeKey, CacheEntry>,
     capacity: usize,
-    auto_seen: HashSet<RecipeKey>,
 }
 
 impl ArtifactCache {
@@ -648,9 +673,10 @@ impl ArtifactCache {
 
 /// A snapshot of one [`PreparedDataset`]'s lifetime artifact-cache
 /// counters ([`PreparedDataset::cache_stats`]): how many recipe requests
-/// were served from the cache (`hits`), how many had to build (`misses` —
-/// including [`SamplerStrategy::Auto`]'s uncached one-shot CDF builds),
-/// and how many cached recipes the LRU bound dropped (`evictions`).
+/// were served from the cache (`hits`), how many had to build and cache
+/// their artifacts (`misses`), and how many cached recipes the LRU bound
+/// dropped (`evictions`). Every strategy counts the same way: an `Auto`
+/// request is counted against the backend the planner's rule resolved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Recipe requests served straight from the cache.
@@ -789,7 +815,6 @@ impl PreparedDataset {
             cache: RwLock::new(ArtifactCache {
                 map: HashMap::new(),
                 capacity: DEFAULT_CACHE_CAPACITY,
-                auto_seen: HashSet::new(),
             }),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -920,32 +945,6 @@ impl PreparedDataset {
         }
     }
 
-    /// Builds one recipe's artifacts over whichever corpus layout this
-    /// dataset holds (the one place layout dispatch happens on the build
-    /// path).
-    fn build_arts(
-        &self,
-        exponent: f64,
-        uniform_mix: f64,
-        cdf: bool,
-        rt: &RuntimeConfig,
-    ) -> WeightArtifacts {
-        match (&self.corpus, cdf) {
-            (PreparedCorpus::Flat(d), false) => {
-                WeightArtifacts::build_with(d.scores(), exponent, uniform_mix, rt)
-            }
-            (PreparedCorpus::Flat(d), true) => {
-                WeightArtifacts::build_cdf_with(d.scores(), exponent, uniform_mix, rt)
-            }
-            (PreparedCorpus::Segmented(s), false) => {
-                WeightArtifacts::build_segmented_with(s, exponent, uniform_mix, rt)
-            }
-            (PreparedCorpus::Segmented(s), true) => {
-                WeightArtifacts::build_segmented_cdf_with(s, exponent, uniform_mix, rt)
-            }
-        }
-    }
-
     /// The alias-backed sampling artifacts for a weight recipe — built on
     /// first use, O(1) `Arc` clone afterwards. Construction happens
     /// outside the cache lock; two threads racing on a cold key may both
@@ -959,16 +958,13 @@ impl PreparedDataset {
     }
 
     /// The sampling artifacts for a weight recipe under a
-    /// [`SamplerStrategy`]:
-    ///
-    /// * [`Alias`](SamplerStrategy::Alias) / [`Cdf`](SamplerStrategy::Cdf)
-    ///   — cached under distinct keys, built (on the configured pool) on
-    ///   first use.
-    /// * [`Auto`](SamplerStrategy::Auto) — serves the cached alias
-    ///   artifacts when the recipe is warm; otherwise the *first* request
-    ///   gets a fresh, uncached one-shot CDF build (the cheap cold path),
-    ///   and the second request for the same recipe promotes it to a
-    ///   cached alias table.
+    /// [`SamplerStrategy`], cached under distinct keys per backend and
+    /// built (on the configured pool) on first use.
+    /// [`Auto`](SamplerStrategy::Auto) first resolves to a backend through
+    /// the planner's one rule from [`recipe_state`](Self::recipe_state) —
+    /// CDF for a cold recipe (cached at first sight, exactly as a planned
+    /// query caches it), alias once the recipe recurs — and then takes the
+    /// same cached path as an explicit request for that backend.
     pub fn artifacts_with(
         &self,
         exponent: f64,
@@ -986,80 +982,12 @@ impl PreparedDataset {
         uniform_mix: f64,
         strategy: SamplerStrategy,
     ) -> (Arc<WeightArtifacts>, bool) {
+        let cdf = draws_cdf(strategy, || self.recipe_state(exponent, uniform_mix));
+        let key = RecipeKey::new(exponent, uniform_mix, cdf, self.layout_key());
         let rt = self.runtime();
-        let layout = self.layout_key();
-        match strategy {
-            SamplerStrategy::Alias => self.cached_artifacts(
-                RecipeKey::alias(exponent, uniform_mix).with_layout(layout),
-                || self.build_arts(exponent, uniform_mix, false, &rt),
-            ),
-            SamplerStrategy::Cdf => self.cached_artifacts(
-                RecipeKey::cdf(exponent, uniform_mix).with_layout(layout),
-                || self.build_arts(exponent, uniform_mix, true, &rt),
-            ),
-            SamplerStrategy::Auto => {
-                let key = RecipeKey::alias(exponent, uniform_mix).with_layout(layout);
-                // Warm recipe: the shared-read-lock hot path.
-                if let Some(hit) = self.read_cached(key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (hit, true);
-                }
-                // Cold recipe: one write-lock critical section for the
-                // promotion bookkeeping. A racer may have inserted the
-                // artifacts since the read — serve those as a hit.
-                enum Cold {
-                    Raced(Arc<WeightArtifacts>),
-                    Recurring,
-                    FirstSight,
-                }
-                let state = {
-                    let mut cache = self.cache.write().expect("artifact cache poisoned");
-                    if let Some(hit) = cache.touch(key, &self.clock) {
-                        Cold::Raced(hit)
-                    } else {
-                        // Bound the promotion memory like the cache
-                        // itself: losing it only costs one extra
-                        // one-shot CDF build.
-                        if cache.auto_seen.len() > cache.capacity.saturating_mul(4) {
-                            cache.auto_seen.clear();
-                        }
-                        if cache.auto_seen.insert(key) {
-                            Cold::FirstSight
-                        } else {
-                            Cold::Recurring
-                        }
-                    }
-                };
-                match state {
-                    Cold::Raced(hit) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        (hit, true)
-                    }
-                    Cold::Recurring => {
-                        // Second request: the recipe is recurring — pay
-                        // the alias build once and serve it from the
-                        // cache on.
-                        let built = self.cached_artifacts(key, || {
-                            self.build_arts(exponent, uniform_mix, false, &rt)
-                        });
-                        self.cache
-                            .write()
-                            .expect("artifact cache poisoned")
-                            .auto_seen
-                            .remove(&key);
-                        built
-                    }
-                    Cold::FirstSight => {
-                        // First sight: cheapest possible one-shot setup,
-                        // not cached (the point is not to pay for
-                        // artifacts a one-shot query never reuses).
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        let built = Arc::new(self.build_arts(exponent, uniform_mix, true, &rt));
-                        (built, false)
-                    }
-                }
-            }
-        }
+        self.cached_artifacts(key, || {
+            build_artifacts(self.corpus(), exponent, uniform_mix, cdf, &rt)
+        })
     }
 
     /// The read-lock-only warm lookup (recency stamped via the atomic
@@ -1072,21 +1000,19 @@ impl PreparedDataset {
     }
 
     /// Where the weight recipe `(exponent, uniform_mix)` stands in this
-    /// dataset's artifact cache — the planner's cache-state signal. A
-    /// pure peek under the shared read lock: no build, no hit/miss
-    /// accounting, no promotion-memory side effects. An alias entry
-    /// shadows a CDF entry (the O(1)-draw steady state wins).
+    /// dataset's artifact cache — the signal `Auto` resolves from. A pure
+    /// peek under the shared read lock: no build, no hit/miss accounting.
+    /// An alias entry shadows a CDF entry (the O(1)-draw steady state
+    /// wins).
     pub fn recipe_state(&self, exponent: f64, uniform_mix: f64) -> RecipeState {
         let layout = self.layout_key();
-        let alias_key = RecipeKey::alias(exponent, uniform_mix).with_layout(layout);
-        let cdf_key = RecipeKey::cdf(exponent, uniform_mix).with_layout(layout);
+        let alias_key = RecipeKey::new(exponent, uniform_mix, false, layout);
+        let cdf_key = RecipeKey::new(exponent, uniform_mix, true, layout);
         let cache = self.cache.read().expect("artifact cache poisoned");
         if cache.map.contains_key(&alias_key) {
             RecipeState::WarmAlias
         } else if cache.map.contains_key(&cdf_key) {
             RecipeState::WarmCdf
-        } else if cache.auto_seen.contains(&alias_key) {
-            RecipeState::SeenOnce
         } else {
             RecipeState::Cold
         }
@@ -1162,10 +1088,10 @@ impl PreparedDataset {
     /// accumulated over the dataset's lifetime across all threads.
     ///
     /// Hits are requests served from the cache under the shared read
-    /// lock; misses paid an artifact build (including `Auto`'s uncached
-    /// first-sight CDF builds); evictions count recipes dropped to hold
-    /// the capacity bound. Counters use relaxed atomics — the snapshot
-    /// is consistent-enough for monitoring, not a linearizable read.
+    /// lock; misses paid an artifact build and cached it; evictions count
+    /// recipes dropped to hold the capacity bound. Counters use relaxed
+    /// atomics — the snapshot is consistent-enough for monitoring, not a
+    /// linearizable read.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -1272,9 +1198,9 @@ impl<'a> DataView<'a> {
     /// The sampling artifacts for a weight recipe under a
     /// [`SamplerStrategy`]. Prepared views delegate to
     /// [`PreparedDataset::artifacts_with`]; cold views build fresh per
-    /// call — [`Auto`](SamplerStrategy::Auto) resolves to the cheap
-    /// one-shot CDF build there, because a cold view by definition has no
-    /// cache to amortize an alias table into.
+    /// call on the serial pool. A cold view has no cache, so the planner's
+    /// rule sees every recipe as [`RecipeState::Cold`] and resolves
+    /// [`Auto`](SamplerStrategy::Auto) to the one-shot CDF build.
     pub fn artifacts_with(
         &self,
         exponent: f64,
@@ -1284,24 +1210,10 @@ impl<'a> DataView<'a> {
         let (arts, hit) = match self.prepared {
             Some(p) => p.artifacts_probed(exponent, uniform_mix, strategy),
             None => {
+                let cdf = draws_cdf(strategy, || RecipeState::Cold);
                 let rt = RuntimeConfig::sequential();
-                (
-                    Arc::new(match (self.corpus, strategy) {
-                        (Corpus::Flat(d), SamplerStrategy::Alias) => {
-                            WeightArtifacts::build(d.scores(), exponent, uniform_mix)
-                        }
-                        (Corpus::Flat(d), _) => {
-                            WeightArtifacts::build_cdf(d.scores(), exponent, uniform_mix)
-                        }
-                        (Corpus::Segmented(s), SamplerStrategy::Alias) => {
-                            WeightArtifacts::build_segmented_with(s, exponent, uniform_mix, &rt)
-                        }
-                        (Corpus::Segmented(s), _) => {
-                            WeightArtifacts::build_segmented_cdf_with(s, exponent, uniform_mix, &rt)
-                        }
-                    }),
-                    false,
-                )
+                let built = build_artifacts(self.corpus, exponent, uniform_mix, cdf, &rt);
+                (Arc::new(built), false)
             }
         };
         if let Some(probe) = self.probe {
@@ -1442,8 +1354,8 @@ mod tests {
         p.set_cache_capacity(1);
         assert_eq!(p.cache_stats().evictions, 1);
 
-        // Auto: first sight is an uncached miss, the recurrence promotes
-        // (a miss that builds the cached alias table), then hits.
+        // Auto: first sight is a miss that caches the CDF, the recurrence
+        // promotes (a miss that builds the cached alias table), then hits.
         let _ = p.artifacts_with(0.3, 0.0, SamplerStrategy::Auto);
         let before = p.cache_stats();
         let _ = p.artifacts_with(0.3, 0.0, SamplerStrategy::Auto);

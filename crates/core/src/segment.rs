@@ -210,16 +210,6 @@ impl SegmentedDataset {
         self
     }
 
-    /// [`prepare`](Self::prepare) at the worker count a resolved
-    /// [`Plan`](crate::plan::Plan) chose (`plan.chunks`): per-segment
-    /// index builds are chunk-parallel CPU work, so the planner's
-    /// measured chunk count — never more than the effective cores, and
-    /// serial wherever chunking measured slower — drives the pool width.
-    /// Results are bit-identical to any other width.
-    pub fn prepare_planned(&self, plan: &crate::plan::Plan) -> &Self {
-        self.prepare(&RuntimeConfig::default().with_parallelism(plan.chunks))
-    }
-
     /// Number of records with `A(x) ≥ tau`, i.e. `|D(τ)|` — one binary
     /// search per segment, summed. O(k log segment_size), bit-identical
     /// to the flat count.

@@ -492,8 +492,10 @@ impl<'a> SupgSession<'a> {
     /// Picks the weighted-sampler backend the importance selectors draw
     /// through (default [`SamplerStrategy::Alias`]). `Cdf` skips the
     /// alias table's heavier O(n) construction — the right trade for a
-    /// cold one-shot query — and `Auto` does that only while the recipe
-    /// is cold, switching to the cached alias table once it recurs.
+    /// cold one-shot query — and `Auto` leaves the choice to the
+    /// planner's one rule, planned or not: CDF while the recipe is cold
+    /// (cached at first sight on a prepared dataset), the cached alias
+    /// table once it recurs.
     /// Strategies consume the seeded RNG stream differently, so they are
     /// deterministic individually but not interchangeable bit-for-bit;
     /// see [`SamplerStrategy`].
@@ -655,9 +657,9 @@ impl<'a> SupgSession<'a> {
     ///
     /// # Errors
     /// Typed [`SupgError`]s for builder validation problems (missing
-    /// target/budget, conflicting targets, out-of-range `γ`/`δ`,
-    /// unsupported selector/target combinations) and for oracle failures
-    /// during execution.
+    /// target/budget, conflicting targets, out-of-range `γ`/`δ` or
+    /// [`SelectorConfig`] knobs, unsupported selector/target
+    /// combinations) and for oracle failures during execution.
     pub fn run(&self, oracle: &mut dyn SessionOracle) -> Result<QueryOutcome, SupgError> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         self.run_with_rng(oracle, &mut rng)
@@ -847,6 +849,7 @@ impl<'a> SupgSession<'a> {
     }
 
     fn mode(&self) -> Result<Mode, SupgError> {
+        self.check_config()?;
         match (self.recall, self.precision, self.joint) {
             (None, None, _) => Err(SupgError::MissingTarget),
             (Some(_), Some(_), None) => Err(SupgError::ConflictingTargets),
@@ -888,6 +891,31 @@ impl<'a> SupgSession<'a> {
                 )?))
             }
         }
+    }
+
+    /// Rejects selector knobs the sampling and estimation stages cannot
+    /// run with, so a hostile [`SelectorConfig`] is a typed error instead
+    /// of a panic inside the query.
+    fn check_config(&self) -> Result<(), SupgError> {
+        let cfg = &self.config;
+        if !(cfg.weight_exponent.is_finite() && cfg.weight_exponent >= 0.0) {
+            return Err(SupgError::InvalidQuery(format!(
+                "weight exponent {} must be finite and non-negative",
+                cfg.weight_exponent
+            )));
+        }
+        if !(0.0..=1.0).contains(&cfg.uniform_mix) {
+            return Err(SupgError::InvalidQuery(format!(
+                "uniform mix {} must lie in [0, 1]",
+                cfg.uniform_mix
+            )));
+        }
+        if cfg.precision_step == 0 {
+            return Err(SupgError::InvalidQuery(
+                "precision step must be at least 1".to_owned(),
+            ));
+        }
+        Ok(())
     }
 }
 

@@ -25,7 +25,6 @@ use supg_core::{
 fn recipe_strategy() -> impl Strategy<Value = RecipeState> {
     prop_oneof![
         Just(RecipeState::Cold),
-        Just(RecipeState::SeenOnce),
         Just(RecipeState::WarmCdf),
         Just(RecipeState::WarmAlias),
     ]

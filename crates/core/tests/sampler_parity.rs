@@ -11,7 +11,8 @@
 //!    result = `D(τ) ∪ R1`, duplicate-free).
 //! 2. **Auto transitions.** `SamplerStrategy::Auto` must serve the exact
 //!    CDF outcome while a recipe is cold and the exact alias outcome once
-//!    it recurs (or was warmed).
+//!    it recurs (or was warmed), through one rule: unplanned and planned
+//!    `Auto` sessions keep identical outcomes and cache state.
 //! 3. **Alias-build determinism.** The chunk-partitioned Vose feed build
 //!    must produce bit-identical tables at every parallelism and explicit
 //!    chunk count — mirroring `rank_parity.rs`'s build-determinism cases.
@@ -24,9 +25,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use supg_core::rank::RankIndex;
+use supg_core::selectors::SelectorConfig;
 use supg_core::{
-    CachedOracle, PreparedDataset, QueryOutcome, ResultView, RuntimeConfig, SamplerStrategy,
-    ScoredDataset, SelectionResult, SelectorKind, SupgSession, WeightArtifacts,
+    CachedOracle, Planner, PreparedDataset, QueryOutcome, RecipeState, ResultView, RuntimeConfig,
+    SamplerStrategy, ScoredDataset, SelectionResult, SelectorKind, SupgSession, WeightArtifacts,
 };
 
 fn rare(n: usize, seed: u64) -> (ScoredDataset, Vec<bool>) {
@@ -176,7 +178,7 @@ fn auto_serves_cdf_cold_and_alias_once_recurring() {
     );
     assert_outcomes_identical(&auto_cold, &cdf_cold, "cold Auto ≡ Cdf");
 
-    // Prepared: first request = CDF one-shot (nothing cached), second
+    // Prepared: first request = CDF, cached at first sight; the second
     // request promotes the recipe to the cached alias table.
     let prepared = PreparedDataset::new(data.clone());
     let q1 = run_strategy(
@@ -187,7 +189,7 @@ fn auto_serves_cdf_cold_and_alias_once_recurring() {
         5,
     );
     assert_outcomes_identical(&q1, &cdf_cold, "prepared Auto first query ≡ Cdf");
-    assert_eq!(prepared.cached_recipes(), 0, "one-shot CDF is not cached");
+    assert_eq!(prepared.cached_recipes(), 1, "first sight caches the CDF");
 
     let alias_ref = run_strategy(
         SupgSession::over(&data),
@@ -204,7 +206,7 @@ fn auto_serves_cdf_cold_and_alias_once_recurring() {
         5,
     );
     assert_outcomes_identical(&q2, &alias_ref, "prepared Auto second query ≡ Alias");
-    assert_eq!(prepared.cached_recipes(), 1, "promotion cached the alias");
+    assert_eq!(prepared.cached_recipes(), 2, "promotion cached the alias");
     let q3 = run_strategy(
         SupgSession::over_prepared(&prepared),
         &labels,
@@ -213,7 +215,7 @@ fn auto_serves_cdf_cold_and_alias_once_recurring() {
         5,
     );
     assert_outcomes_identical(&q3, &alias_ref, "prepared Auto steady state");
-    assert_eq!(prepared.cached_recipes(), 1);
+    assert_eq!(prepared.cached_recipes(), 2);
 }
 
 #[test]
@@ -236,6 +238,84 @@ fn warming_promotes_auto_to_alias_immediately() {
         8,
     );
     assert_outcomes_identical(&warmed, &alias_ref, "warmed Auto ≡ Alias");
+}
+
+/// An `Auto` session over `prepared` for target `which` (0 = RT, 1 = PT,
+/// 2 = JT) with the given weight recipe.
+fn auto_session(
+    prepared: &PreparedDataset,
+    which: usize,
+    config: SelectorConfig,
+) -> SupgSession<'_> {
+    let session = SupgSession::over_prepared(prepared)
+        .selector_config(config.with_sampler(SamplerStrategy::Auto))
+        .seed(11);
+    match which {
+        0 => session.recall(0.9).budget(700),
+        1 => session.precision(0.85).budget(700),
+        _ => session.recall(0.8).precision(0.9).joint(500),
+    }
+}
+
+#[test]
+fn unplanned_and_planned_auto_keep_identical_cache_state() {
+    // One adaptivity mechanism: an unplanned `Auto` request resolves its
+    // backend through the planner's rule, so two fresh identical datasets
+    // driven through the same RT/PT/JT sequence — one unplanned, one
+    // planned — agree on every outcome and on the cache state after
+    // every query. Each target gets its own recipe, so each recipe runs
+    // cold → recurring → warm.
+    let (data, labels) = rare(16_000, 75);
+    let unplanned = PreparedDataset::new(data.clone());
+    let planned = PreparedDataset::new(data);
+    let planner = Planner::new();
+    let recipes = [
+        SelectorConfig::default(),
+        SelectorConfig::default().with_mix(0.2),
+        SelectorConfig::default().with_exponent(1.0),
+    ];
+    for round in 0..3 {
+        for (which, &config) in recipes.iter().enumerate() {
+            let context = format!("round {round} target {which}");
+            let a = auto_session(&unplanned, which, config)
+                .run(&mut CachedOracle::from_labels(labels.clone(), 700))
+                .unwrap();
+            let b = auto_session(&planned, which, config)
+                .planned(&planner)
+                .run(&mut CachedOracle::from_labels(labels.clone(), 700))
+                .unwrap();
+            assert_outcomes_identical(&a, &b, &context);
+            assert_eq!(a.stage_calls, b.stage_calls, "{context}: stage calls");
+            assert_eq!(a.filter_calls, b.filter_calls, "{context}: filter calls");
+            assert_eq!(a.candidates, b.candidates, "{context}: candidates");
+            assert_eq!(a.cache_hits, b.cache_hits, "{context}: cache hits");
+            assert_eq!(a.cache_misses, b.cache_misses, "{context}: cache misses");
+            for r in &recipes {
+                assert_eq!(
+                    unplanned.recipe_state(r.weight_exponent, r.uniform_mix),
+                    planned.recipe_state(r.weight_exponent, r.uniform_mix),
+                    "{context}: recipe state"
+                );
+            }
+            assert_eq!(
+                unplanned.cached_recipes(),
+                planned.cached_recipes(),
+                "{context}: cached recipes"
+            );
+            assert_eq!(
+                unplanned.cache_stats(),
+                planned.cache_stats(),
+                "{context}: cache stats"
+            );
+        }
+    }
+    // The sequence really walked every recipe to the warm alias state.
+    for r in &recipes {
+        assert_eq!(
+            planned.recipe_state(r.weight_exponent, r.uniform_mix),
+            RecipeState::WarmAlias
+        );
+    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Robust-serving integration: circuit-breaker lifecycle, zero-cost
-//! shedding, deadline enforcement, retry-through-the-server parity, and
-//! budget safety on panic paths.
+//! shedding, deadline enforcement, retry-through-the-server parity,
+//! budget safety on panic paths, and typed errors (never panics) for
+//! hostile selector configurations.
 //!
 //! Failures are produced by the deterministic fault layer in
 //! `supg_core::fault`, so every lifecycle transition here is replayable:
@@ -10,7 +11,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use supg_core::{CachedOracle, FaultPlan, FaultyOracle, Oracle, SupgError};
+use supg_core::selectors::SelectorConfig;
+use supg_core::{
+    CachedOracle, FaultPlan, FaultyOracle, Oracle, ScoredDataset, SupgError, SupgSession,
+};
 use supg_serve::{
     BreakerConfig, BreakerState, QuerySpec, RetryPolicy, ServeError, ServerConfig, SupgServer,
 };
@@ -328,4 +332,48 @@ fn panicking_oracle_leaks_neither_budget_nor_slots() {
     let mut oracle = healthy_oracle();
     let outcome = server.serve("acme", "videos", &spec, &mut oracle).unwrap();
     assert!(!outcome.result.is_empty());
+}
+
+#[test]
+fn hostile_selector_configs_are_typed_errors_through_run_and_serve() {
+    let base = SelectorConfig::default();
+    let hostile = [
+        ("exponent -1", base.with_exponent(-1.0)),
+        ("exponent NaN", base.with_exponent(f64::NAN)),
+        ("mix 1.5", base.with_mix(1.5)),
+        ("mix NaN", base.with_mix(f64::NAN)),
+        ("precision step 0", base.with_precision_step(0)),
+    ];
+    let data = ScoredDataset::new(scores()).unwrap();
+    let server = server(BreakerConfig::default());
+    for (name, config) in hostile {
+        for precision in [false, true] {
+            let (spec, session) = if precision {
+                let session = SupgSession::over(&data).precision(0.9);
+                (QuerySpec::precision(0.9, 1_000), session)
+            } else {
+                let session = SupgSession::over(&data).recall(0.9);
+                (QuerySpec::recall(0.9, 1_000), session)
+            };
+            let run = session
+                .budget(1_000)
+                .selector_config(config)
+                .seed(7)
+                .run(&mut healthy_oracle());
+            assert!(
+                matches!(run, Err(SupgError::InvalidQuery(_))),
+                "{name}: run returned {run:?}"
+            );
+            let spec = spec.with_config(config).with_seed(7);
+            let served = server.serve("acme", "videos", &spec, &mut healthy_oracle());
+            assert!(
+                matches!(served, Err(ServeError::Query(SupgError::InvalidQuery(_)))),
+                "{name}: serve returned {served:?}"
+            );
+        }
+    }
+    // Every served error released its reservation and its slot.
+    let tenant = server.tenants().get("acme").unwrap();
+    assert_eq!(tenant.remaining_budget(), TENANT_BUDGET);
+    assert_eq!(server.in_flight(), 0);
 }

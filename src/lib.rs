@@ -128,7 +128,9 @@
 //! bit-identical result, and a query known to run once can skip the alias
 //! build entirely via [`core::SamplerStrategy`]: `Cdf` always uses the
 //! single-pass CDF-inversion sampler, `Auto` uses it only while a recipe
-//! is cold and promotes to the cached alias table once the recipe recurs
+//! is cold (caching the CDF artifacts at first sight) and promotes to the
+//! cached alias table once the recipe recurs — one planner rule makes
+//! that choice for planned and unplanned sessions alike
 //! (`SupgSession::sampler_strategy(..)`, or `tuning.sampler` on the SQL
 //! engine's `EngineConfig`). Strategies consume the seeded RNG stream
 //! differently — each is deterministic, all carry the same `1 − δ`
