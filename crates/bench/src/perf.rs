@@ -277,7 +277,7 @@ pub struct ColdPathNumbers {
     /// `cold_build`) — the exact cold path every query paid before the
     /// chunk-partitioned feeds and the moved acceptance array.
     pub alias_serial_ns: f64,
-    /// Median ns of `WeightArtifacts::build_with` at `workers` workers:
+    /// Median ns of the flat alias `WeightArtifacts::build` at `workers` workers:
     /// pooled `A(x)^p` transform, per-chunk normalize/scale/partition
     /// feeds, and the serial Vose pairing that moves the residual array
     /// into the acceptance role instead of allocating and filling a
@@ -323,7 +323,7 @@ pub struct SegmentedNumbers {
     /// `CdfSampler::new` prefix sum over all n weights.
     pub flat_cdf_build_ns: f64,
     /// Median ns of the two-level segmented build
-    /// (`WeightArtifacts::build_segmented_cdf_with`): per-segment powered
+    /// (`WeightArtifacts::build` of a segmented CDF): per-segment powered
     /// / normalized / cumulative passes on the worker pool, stitched by a
     /// serial per-segment offset scan (k terms, not n).
     pub segmented_cdf_build_ns: f64,
@@ -534,9 +534,7 @@ fn measure_segmented(iters: usize) -> SegmentedNumbers {
         flat_cdf.push(start.elapsed().as_nanos() as f64);
 
         let start = Instant::now();
-        std::hint::black_box(WeightArtifacts::build_segmented_cdf_with(
-            &seg, 0.5, 0.1, &rt,
-        ));
+        std::hint::black_box(WeightArtifacts::build(&seg, 0.5, 0.1, true, &rt));
         seg_cdf.push(start.elapsed().as_nanos() as f64);
 
         let start = Instant::now();
@@ -572,7 +570,7 @@ fn measure_segmented(iters: usize) -> SegmentedNumbers {
 /// fresh acceptance array and writes it slot by slot (the production
 /// build now moves the residual array into the acceptance role instead).
 /// Returns `(accept, alias, probs)`; pinned bit-identical to
-/// [`AliasTable::new`]'s arrays by the parity test below.
+/// [`AliasTable::new`](supg_sampling::AliasTable::new)'s arrays by the parity test below.
 pub fn legacy_alias_table(weights: &[f64]) -> (Vec<f64>, Vec<u32>, Vec<f64>) {
     assert!(!weights.is_empty(), "AliasTable: empty weights");
     let total: f64 = weights
@@ -636,7 +634,7 @@ fn measure_cold_path(iters: usize) -> ColdPathNumbers {
         serial.push(start.elapsed().as_nanos() as f64);
 
         let start = Instant::now();
-        std::hint::black_box(WeightArtifacts::build_with(data.scores(), 0.5, 0.1, &rt));
+        std::hint::black_box(WeightArtifacts::build(&*data, 0.5, 0.1, false, &rt));
         parallel.push(start.elapsed().as_nanos() as f64);
 
         for (strategy, samples) in [
@@ -646,7 +644,7 @@ fn measure_cold_path(iters: usize) -> ColdPathNumbers {
             let labels = Arc::clone(&labels);
             let mut oracle = CachedOracle::parallel(labels.len(), budget, move |i| labels[i]);
             let start = Instant::now();
-            let outcome = SupgSession::over(&data)
+            let outcome = SupgSession::over(&*data)
                 .recall(0.9)
                 .budget(budget)
                 .selector(SelectorKind::ImportanceSampling)
@@ -852,7 +850,7 @@ fn planner_query(
         }),
         None => CachedOracle::new(owned.len(), budget, move |i| owned[i]),
     };
-    let session = SupgSession::over_prepared(data)
+    let session = SupgSession::over(data)
         .recall(0.9)
         .budget(budget)
         .selector(SelectorKind::ImportanceSampling)
@@ -1046,10 +1044,9 @@ fn measure_planner(iters: usize) -> PlannerNumbers {
     }
 }
 
-/// The serving workload shared by the exporter and the
-/// `prepared_vs_cold` Criterion bench: one Beta(0.05, 2) dataset with
-/// Bernoulli(score) ground truth (single definition so both harnesses
-/// always measure the same thing).
+/// The exporter's serving workload: one Beta(0.05, 2) dataset with
+/// Bernoulli(score) ground truth (single definition so every section
+/// measures the same thing).
 pub fn serving_workload(n: usize) -> (Arc<ScoredDataset>, Arc<Vec<bool>>) {
     let (scores, labels) = BetaDataset::new(0.05, 2.0, n).generate(7).into_parts();
     (
@@ -1059,7 +1056,7 @@ pub fn serving_workload(n: usize) -> (Arc<ScoredDataset>, Arc<Vec<bool>>) {
 }
 
 /// One serving query: the paper's IS-CI-R configuration at recall 0.9
-/// over a fresh budgeted oracle (shared by exporter and bench).
+/// over a fresh budgeted oracle.
 pub fn run_query(session: SupgSession<'_>, labels: &Arc<Vec<bool>>, budget: usize, seed: u64) {
     let labels = Arc::clone(labels);
     let mut oracle = CachedOracle::parallel(labels.len(), budget, move |i| labels[i]);
@@ -1085,23 +1082,18 @@ fn measure_serving(queries: usize) -> ServingNumbers {
     // Cold arm: every query rebuilds weights + alias table (O(n) setup).
     let cold_start = Instant::now();
     for q in 0..queries {
-        run_query(SupgSession::over(&data), &labels, budget, q as u64);
+        run_query(SupgSession::over(&*data), &labels, budget, q as u64);
     }
     let cold_ns_per_query = cold_start.elapsed().as_nanos() as f64 / queries as f64;
 
     // Prepared arm: the first query builds the shared artifacts once.
     let prepared = Arc::new(PreparedDataset::from_arc(Arc::clone(&data)));
     let first_start = Instant::now();
-    run_query(SupgSession::over_prepared(&prepared), &labels, budget, 0);
+    run_query(SupgSession::over(&*prepared), &labels, budget, 0);
     let prepared_first_query_ns = first_start.elapsed().as_nanos() as f64;
     let warm_start = Instant::now();
     for q in 0..queries {
-        run_query(
-            SupgSession::over_prepared(&prepared),
-            &labels,
-            budget,
-            q as u64,
-        );
+        run_query(SupgSession::over(&*prepared), &labels, budget, q as u64);
     }
     let prepared_ns_per_query = warm_start.elapsed().as_nanos() as f64 / queries as f64;
 
@@ -1116,7 +1108,7 @@ fn measure_serving(queries: usize) -> ServingNumbers {
             scope.spawn(move || {
                 for q in 0..queries / concurrency {
                     run_query(
-                        SupgSession::over_shared(Arc::clone(&prepared)),
+                        SupgSession::over(Arc::clone(&prepared)),
                         &labels,
                         budget,
                         (t * 1_000 + q) as u64,
@@ -1151,7 +1143,7 @@ fn measure_resilience(queries: usize) -> ResilienceNumbers {
     let (data, labels) = serving_workload(n);
     let prepared = Arc::new(PreparedDataset::from_arc(Arc::clone(&data)));
     // Warm outside the timed region: both arms measure steady-state.
-    run_query(SupgSession::over_prepared(&prepared), &labels, budget, 0);
+    run_query(SupgSession::over(&*prepared), &labels, budget, 0);
 
     let mut clean_ns = Vec::with_capacity(queries);
     let mut retried_ns = Vec::with_capacity(queries);
@@ -1160,7 +1152,7 @@ fn measure_resilience(queries: usize) -> ResilienceNumbers {
         let seed = q as u64;
 
         let start = Instant::now();
-        run_query(SupgSession::over_prepared(&prepared), &labels, budget, seed);
+        run_query(SupgSession::over(&*prepared), &labels, budget, seed);
         clean_ns.push(start.elapsed().as_nanos() as f64);
 
         let l = Arc::clone(&labels);
@@ -1169,7 +1161,7 @@ fn measure_resilience(queries: usize) -> ResilienceNumbers {
         let mut oracle =
             ResilientOracle::new(FaultyOracle::new(base, plan), RetryPolicy::default());
         let start = Instant::now();
-        let outcome = SupgSession::over_prepared(&prepared)
+        let outcome = SupgSession::over(&*prepared)
             .recall(0.9)
             .budget(budget)
             .selector(SelectorKind::ImportanceSampling)

@@ -168,7 +168,7 @@
 //! // sessions clone the Arc and share one cache.
 //! for seed in 0..3 {
 //!     let mut oracle = CachedOracle::from_labels(truth.clone(), 1_000);
-//!     let outcome = SupgSession::over_shared(Arc::clone(&prepared))
+//!     let outcome = SupgSession::over(Arc::clone(&prepared))
 //!         .recall(0.9)
 //!         .budget(1_000)
 //!         .seed(seed)
@@ -265,8 +265,8 @@
 //!   ([`SegmentedDataset::stitched_prefix`]); membership stays O(log
 //!   segment) via the owning segment's inverse rank.
 //! * **Layout is unobservable.** A session over a segmented corpus
-//!   ([`SupgSession::over_segmented`](session::SupgSession::over_segmented))
-//!   returns a [`QueryOutcome`] **bit-identical** to the flat session on
+//!   ([`SupgSession::over`](session::SupgSession::over) with a
+//!   `&SegmentedDataset`) returns a [`QueryOutcome`] **bit-identical** to the flat session on
 //!   the concatenated scores — same `τ` bits, same result order, same
 //!   oracle accounting — at every segment size and `parallelism`, under
 //!   the default `Alias` sampler strategy (pinned by
@@ -278,12 +278,9 @@
 //! `supg_datasets::io::from_csv_string_segmented` loads a CSV corpus
 //! directly into segment-aligned chunks for
 //! [`SegmentedDataset::from_chunks`], so the contiguous column is never
-//! materialized. Flat-only accessors
-//! ([`PreparedDataset::data`](prepared::PreparedDataset::data),
-//! [`DataView::rank_index`](prepared::DataView::rank_index),
-//! [`WeightArtifacts::weights`]) panic on segmented corpora — use the
-//! layout-blind [`Corpus`] / `RankSource` / per-record accessors
-//! instead.
+//! materialized. Every accessor is layout-blind — [`Corpus`],
+//! `RankSource` and the per-record [`WeightArtifacts`] accessors serve
+//! both layouts, so none panics on a valid segmented corpus.
 //!
 //! ## Robustness: fault injection and retries
 //!

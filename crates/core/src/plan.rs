@@ -509,7 +509,8 @@ impl Planner {
     /// wrong here: it includes the threshold sweep, artifact builds and
     /// result materialization, all of which scale with the corpus — a
     /// µs-oracle query over 10⁷ records would average out past
-    /// [`SLOW_ORACLE_NS`] and flip the plan to the latency-bound branch.
+    /// the slow-oracle threshold and flip the plan to the latency-bound
+    /// branch.
     /// Only wall-clock spent inside `label_batch` counts. Sessions with
     /// an attached planner call this automatically; queries that never
     /// reached the oracle (or whose labeling time was immeasurably

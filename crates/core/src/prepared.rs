@@ -1,7 +1,8 @@
 //! Shared prepared-dataset artifacts for high-throughput serving.
 //!
 //! The SUPG sampling stage has per-dataset preprocessing that is
-//! independent of any single query: the global [`RankIndex`] is an
+//! independent of any single query: the global
+//! [`RankIndex`](crate::rank::RankIndex) is an
 //! O(n log n) sort, building [`ImportanceWeights`] is an O(n) pass over
 //! every proxy score, and the O(1)-draw [`AliasTable`] is another O(n)
 //! construction. A service answering many queries over the same corpus —
@@ -13,11 +14,11 @@
 //! plus a bounded, least-recently-used keyed cache of
 //! `(weight_exponent, uniform_mix) → (ImportanceWeights, AliasTable)`
 //! built on first use and reused by every subsequent query, from any
-//! thread. Sessions accept it via
-//! [`SupgSession::over_prepared`](crate::session::SupgSession::over_prepared)
-//! / [`over_shared`](crate::session::SupgSession::over_shared); selectors
+//! thread. Sessions accept it borrowed or as an `Arc` through
+//! [`SupgSession::over`](crate::session::SupgSession::over); selectors
 //! receive it through [`DataView`], which also covers the cold
-//! (unprepared) path so one code path serves both.
+//! (unprepared) path so one code path serves both, and every artifact —
+//! cached or cold — comes from the one [`WeightArtifacts::build`].
 //!
 //! ## Parallel construction
 //!
@@ -88,7 +89,6 @@ use supg_sampling::{
 use crate::data::ScoredDataset;
 use crate::error::SupgError;
 use crate::plan::auto_sampler;
-use crate::rank::RankIndex;
 use crate::runtime::{self, RuntimeConfig};
 use crate::segment::{Corpus, SegmentedDataset};
 use crate::selectors::SelectorConfig;
@@ -155,26 +155,26 @@ pub enum RecipeState {
     WarmAlias,
 }
 
-/// Applies a pure element-wise map over `input` in fixed contiguous
-/// chunks on the worker pool ([`runtime::cpu_workers`]-clamped),
-/// concatenating the results — bit-identical to one serial pass because
-/// the map is element-wise.
-fn chunked_map(
-    input: &[f64],
-    rt: &RuntimeConfig,
-    f: impl Fn(&[f64]) -> Vec<f64> + Sync,
-) -> Vec<f64> {
-    let n = input.len();
-    let workers = runtime::cpu_workers(rt.parallelism);
-    if workers <= 1 || n < runtime::MIN_PARALLEL_INPUT {
-        return f(input);
-    }
-    let pieces = runtime::map_chunks(n, workers, |range| f(&input[range]));
-    let mut out = Vec::with_capacity(n);
-    for piece in pieces {
-        out.extend_from_slice(&piece);
-    }
-    out
+/// The flat importance distribution: the validating scan, then the
+/// element-wise `A(x)^p` transform in `runs` fixed contiguous chunks on the
+/// worker pool (concatenated — bit-identical to one serial pass), then the
+/// normalization ([`ImportanceWeights::from_powered`], whose normalizer
+/// `Σ A^p` stays one serial reduction).
+fn flat_weights(scores: &[f64], exponent: f64, uniform_mix: f64, runs: usize) -> ImportanceWeights {
+    validate_scores(scores, exponent);
+    let powered = if runs <= 1 || scores.len() < runtime::MIN_PARALLEL_INPUT {
+        apply_exponent(scores, exponent)
+    } else {
+        let pieces = runtime::map_chunks(scores.len(), runs, |range| {
+            apply_exponent(&scores[range], exponent)
+        });
+        let mut out = Vec::with_capacity(scores.len());
+        for piece in pieces {
+            out.extend_from_slice(&piece);
+        }
+        out
+    };
+    ImportanceWeights::from_powered(powered, uniform_mix)
 }
 
 /// The sampler a [`WeightArtifacts`] carries: the O(1)-draw alias table
@@ -201,12 +201,10 @@ enum WeightStore {
 
 /// The per-`(dataset, weight recipe)` sampling artifacts: the normalized
 /// importance distribution and a prebuilt weighted sampler over it — the
-/// O(1)-draw alias table ([`build`](WeightArtifacts::build)) or the CDF
-/// fallback ([`build_cdf`](WeightArtifacts::build_cdf)), chosen by the
-/// serving layer's [`SamplerStrategy`]. Segmented corpora get the
-/// chunk-resident counterparts
-/// ([`build_segmented_with`](WeightArtifacts::build_segmented_with) /
-/// [`build_segmented_cdf_with`](WeightArtifacts::build_segmented_cdf_with)).
+/// O(1)-draw alias table or the CDF fallback, chosen by the serving
+/// layer's [`SamplerStrategy`], each in its flat or chunk-resident
+/// segmented form. Built by [`build`](WeightArtifacts::build) for either
+/// corpus layout.
 #[derive(Debug, Clone)]
 pub struct WeightArtifacts {
     weights: WeightStore,
@@ -214,155 +212,83 @@ pub struct WeightArtifacts {
 }
 
 impl WeightArtifacts {
-    /// Builds the alias-backed artifacts from proxy scores (serial O(n)
-    /// passes; see [`ImportanceWeights::from_scores`] for the recipe and
-    /// panics).
-    pub fn build(scores: &[f64], exponent: f64, uniform_mix: f64) -> Self {
-        Self::build_with(scores, exponent, uniform_mix, &RuntimeConfig::sequential())
-    }
-
-    /// [`build`](Self::build) with every element-wise pass — the `A(x)^p`
-    /// transform, the probability normalization, the alias-table scaling
-    /// *and* Vose's small/large partition scan — evaluated chunk-by-chunk
-    /// on the worker pool ([`alias::feed_slice`], one chunk per worker). Only the floating-point normalizer reduction
-    /// `Σ A^p` and the Vose pairing loop stay serial, so the result is
-    /// bit-identical to the serial build at any `parallelism`.
-    pub fn build_with(scores: &[f64], exponent: f64, uniform_mix: f64, rt: &RuntimeConfig) -> Self {
-        validate_scores(scores, exponent);
-        let powered = chunked_map(scores, rt, |chunk| apply_exponent(chunk, exponent));
-        let weights = ImportanceWeights::from_powered(powered, uniform_mix);
-        let sampler = build_alias_pooled(&weights, runtime::cpu_workers(rt.parallelism));
-        Self {
-            weights: WeightStore::Flat(weights),
-            sampler: SamplerBackend::Alias(sampler),
+    /// Builds one weight recipe's artifacts over a corpus — the one build
+    /// for every layout × backend, shared by the prepared cache and cold
+    /// views. `cdf` picks the backend: the O(log n)-draw [`CdfSampler`]
+    /// (one serial prefix-sum pass — the cheapest setup for a cold
+    /// one-shot query) or the O(1)-draw alias table.
+    ///
+    /// Every element-wise pass runs chunk-by-chunk on the `rt` worker
+    /// pool ([`runtime::cpu_workers`]-clamped): the `A(x)^p` transform,
+    /// the probability normalization and, for the alias table, the
+    /// scaling *and* Vose's small/large partition scan
+    /// ([`alias::feed_slice`]). Only the floating-point reductions (the
+    /// normalizer `Σ A^p`, the CDF prefix sum) and the Vose pairing loop
+    /// stay serial, so the artifacts are bit-identical at any
+    /// `parallelism`.
+    ///
+    /// Segmented corpora build per segment, one pool job each, with the
+    /// serial reductions walked in segment order (the flat left-to-right
+    /// sum). Per-index probabilities, reweighting factors, alias tables
+    /// and seeded alias draws are **bit-identical** to the flat build
+    /// over the concatenated scores, at any segment size; segmented CDF
+    /// cumulative values may differ from the flat [`CdfSampler`] in the
+    /// final ulp near segment boundaries, so the bit-exact flat ≡
+    /// segmented `QueryOutcome` contract rides on the default
+    /// [`SamplerStrategy::Alias`].
+    ///
+    /// # Panics
+    /// As [`ImportanceWeights::from_scores`] (negative exponent, uniform
+    /// mix outside `[0, 1]`, zero total mass).
+    pub fn build<'a>(
+        corpus: impl Into<Corpus<'a>>,
+        exponent: f64,
+        uniform_mix: f64,
+        cdf: bool,
+        rt: &RuntimeConfig,
+    ) -> Self {
+        match corpus.into() {
+            Corpus::Flat(data) => {
+                let runs = runtime::cpu_workers(rt.parallelism);
+                let weights = flat_weights(data.scores(), exponent, uniform_mix, runs);
+                let sampler = if cdf {
+                    SamplerBackend::Cdf(CdfSampler::new(weights.probs()))
+                } else {
+                    SamplerBackend::Alias(build_alias_pooled(&weights, runs))
+                };
+                Self {
+                    weights: WeightStore::Flat(weights),
+                    sampler,
+                }
+            }
+            Corpus::Segmented(seg) => {
+                let weights = build_segmented_weights(seg, exponent, uniform_mix, rt);
+                let sampler = if cdf {
+                    SamplerBackend::SegCdf(build_segmented_cdf(&weights, rt))
+                } else {
+                    SamplerBackend::SegAlias(build_segmented_alias(&weights, rt))
+                };
+                Self {
+                    weights: WeightStore::Segmented(weights),
+                    sampler,
+                }
+            }
         }
     }
 
-    /// The chunked build with an **explicit** chunk count, regardless of
-    /// machine size — the deterministic core of
-    /// [`build_with`](Self::build_with), exposed (like
-    /// [`RankIndex::build_chunked`]) so the chunk-partitioned feed path
+    /// The flat alias build with an **explicit** chunk count, regardless
+    /// of machine size — the deterministic core of
+    /// [`build`](Self::build), exposed (like
+    /// [`RankIndex::build_chunked`](crate::rank::RankIndex::build_chunked)) so the chunk-partitioned feed path
     /// stays testable even where `available_parallelism` would clamp it
-    /// away. Bit-identical to [`build`](Self::build) for every `runs ≥ 1`.
+    /// away. Bit-identical to the serial alias build for every `runs ≥ 1`.
     pub fn build_chunked(scores: &[f64], exponent: f64, uniform_mix: f64, runs: usize) -> Self {
-        validate_scores(scores, exponent);
         let runs = runs.max(1);
-        let powered = if runs == 1 || scores.len() < runtime::MIN_PARALLEL_INPUT {
-            apply_exponent(scores, exponent)
-        } else {
-            let pieces = runtime::map_chunks(scores.len(), runs, |range| {
-                apply_exponent(&scores[range], exponent)
-            });
-            let mut out = Vec::with_capacity(scores.len());
-            for piece in pieces {
-                out.extend_from_slice(&piece);
-            }
-            out
-        };
-        let weights = ImportanceWeights::from_powered(powered, uniform_mix);
+        let weights = flat_weights(scores, exponent, uniform_mix, runs);
         let sampler = build_alias_pooled(&weights, runs);
         Self {
             weights: WeightStore::Flat(weights),
             sampler: SamplerBackend::Alias(sampler),
-        }
-    }
-
-    /// Builds the CDF-backed artifacts: the same importance distribution,
-    /// sampled through a [`CdfSampler`] whose construction is one serial
-    /// prefix-sum pass — the cheapest setup for a cold one-shot query.
-    pub fn build_cdf(scores: &[f64], exponent: f64, uniform_mix: f64) -> Self {
-        Self::build_cdf_with(scores, exponent, uniform_mix, &RuntimeConfig::sequential())
-    }
-
-    /// [`build_cdf`](Self::build_cdf) with the `A(x)^p` transform and
-    /// normalization evaluated chunk-by-chunk on the worker pool. The
-    /// prefix sum itself is a serial floating-point accumulation by
-    /// design (keeping it serial is what makes CDF artifacts bit-identical
-    /// wherever they are built), and it is already the cheapest pass of
-    /// the build.
-    pub fn build_cdf_with(
-        scores: &[f64],
-        exponent: f64,
-        uniform_mix: f64,
-        rt: &RuntimeConfig,
-    ) -> Self {
-        validate_scores(scores, exponent);
-        let powered = chunked_map(scores, rt, |chunk| apply_exponent(chunk, exponent));
-        let weights = ImportanceWeights::from_powered(powered, uniform_mix);
-        let sampler = CdfSampler::new(weights.probs());
-        Self {
-            weights: WeightStore::Flat(weights),
-            sampler: SamplerBackend::Cdf(sampler),
-        }
-    }
-
-    /// Builds alias-backed artifacts over a segmented corpus, fully in
-    /// parallel per segment on the worker pool: the `A(x)^p` transform and
-    /// the normalization are element-wise per segment, the alias feeds
-    /// ([`alias::feed_slice`]) are one job per segment, and only the
-    /// floating-point normalizer reductions stay serial (walked in segment
-    /// order — the flat left-to-right sum). Per-index probabilities,
-    /// acceptance values, alias targets and seeded draws are all
-    /// **bit-identical** to the flat [`build`](Self::build) over the
-    /// concatenated scores, at any segment size and any `parallelism`.
-    ///
-    /// # Panics
-    /// As [`build`](Self::build) (bad exponent/mix, zero total mass).
-    pub fn build_segmented_with(
-        seg: &SegmentedDataset,
-        exponent: f64,
-        uniform_mix: f64,
-        rt: &RuntimeConfig,
-    ) -> Self {
-        let weights = build_segmented_weights(seg, exponent, uniform_mix, rt);
-        let sampler = build_segmented_alias(&weights, rt);
-        Self {
-            weights: WeightStore::Segmented(weights),
-            sampler: SamplerBackend::SegAlias(sampler),
-        }
-    }
-
-    /// Builds CDF-backed artifacts over a segmented corpus with the
-    /// two-level parallel build: per-segment local totals (phase 1) and
-    /// per-segment global prefix sums (phase 2) each run as one pool job
-    /// per segment, joined by a serial O(#segments) offset scan. The
-    /// result is identical at any `parallelism` (each phase is independent
-    /// per segment), and per-index probabilities match the flat
-    /// distribution bit-for-bit; cumulative values may differ from the
-    /// flat [`CdfSampler`] in the final ulp near segment boundaries, so
-    /// the bit-exact flat ≡ segmented `QueryOutcome` contract rides on the
-    /// default [`SamplerStrategy::Alias`].
-    ///
-    /// # Panics
-    /// As [`build_cdf`](Self::build_cdf).
-    pub fn build_segmented_cdf_with(
-        seg: &SegmentedDataset,
-        exponent: f64,
-        uniform_mix: f64,
-        rt: &RuntimeConfig,
-    ) -> Self {
-        let weights = build_segmented_weights(seg, exponent, uniform_mix, rt);
-        let sampler = build_segmented_cdf(&weights, rt);
-        Self {
-            weights: WeightStore::Segmented(weights),
-            sampler: SamplerBackend::SegCdf(sampler),
-        }
-    }
-
-    /// The normalized importance distribution in its flat form.
-    ///
-    /// # Panics
-    /// Panics for segmented-corpus artifacts, which never materialize a
-    /// flat distribution — use [`prob`](Self::prob),
-    /// [`reweight_factor`](Self::reweight_factor) and
-    /// [`restricted_sampler`](Self::restricted_sampler), which serve both
-    /// layouts.
-    pub fn weights(&self) -> &ImportanceWeights {
-        match &self.weights {
-            WeightStore::Flat(weights) => weights,
-            WeightStore::Segmented(_) => {
-                panic!("WeightArtifacts::weights: segmented artifacts have no flat distribution")
-            }
         }
     }
 
@@ -538,32 +464,6 @@ fn build_alias_pooled(weights: &ImportanceWeights, runs: usize) -> AliasTable {
         alias::feed_slice(&probs[range.clone()], total, n, range.start)
     });
     AliasTable::from_feeds(feeds)
-}
-
-/// Builds one recipe's artifacts for a corpus layout and backend — the
-/// one place the build dispatches over layout × backend, shared by the
-/// prepared cache and cold views.
-fn build_artifacts(
-    corpus: Corpus<'_>,
-    exponent: f64,
-    uniform_mix: f64,
-    cdf: bool,
-    rt: &RuntimeConfig,
-) -> WeightArtifacts {
-    match (corpus, cdf) {
-        (Corpus::Flat(d), false) => {
-            WeightArtifacts::build_with(d.scores(), exponent, uniform_mix, rt)
-        }
-        (Corpus::Flat(d), true) => {
-            WeightArtifacts::build_cdf_with(d.scores(), exponent, uniform_mix, rt)
-        }
-        (Corpus::Segmented(s), false) => {
-            WeightArtifacts::build_segmented_with(s, exponent, uniform_mix, rt)
-        }
-        (Corpus::Segmented(s), true) => {
-            WeightArtifacts::build_segmented_cdf_with(s, exponent, uniform_mix, rt)
-        }
-    }
 }
 
 /// Whether `strategy` draws through the CDF backend. `Auto` is resolved
@@ -894,34 +794,6 @@ impl PreparedDataset {
         }
     }
 
-    /// The underlying scored dataset of a **flat** preparation.
-    ///
-    /// # Panics
-    /// Panics for segmented corpora, which never hold a flat dataset —
-    /// use [`corpus`](Self::corpus), which serves both layouts.
-    pub fn data(&self) -> &ScoredDataset {
-        match &self.corpus {
-            PreparedCorpus::Flat(data) => data,
-            PreparedCorpus::Segmented(_) => {
-                panic!("PreparedDataset::data: segmented corpus has no flat dataset")
-            }
-        }
-    }
-
-    /// A new shared handle to the underlying dataset of a **flat**
-    /// preparation.
-    ///
-    /// # Panics
-    /// As [`data`](Self::data) for segmented corpora.
-    pub fn share_data(&self) -> Arc<ScoredDataset> {
-        match &self.corpus {
-            PreparedCorpus::Flat(data) => Arc::clone(data),
-            PreparedCorpus::Segmented(_) => {
-                panic!("PreparedDataset::share_data: segmented corpus has no flat dataset")
-            }
-        }
-    }
-
     /// Number of records.
     pub fn len(&self) -> usize {
         match &self.corpus {
@@ -986,7 +858,7 @@ impl PreparedDataset {
         let key = RecipeKey::new(exponent, uniform_mix, cdf, self.layout_key());
         let rt = self.runtime();
         self.cached_artifacts(key, || {
-            build_artifacts(self.corpus(), exponent, uniform_mix, cdf, &rt)
+            WeightArtifacts::build(self.corpus(), exponent, uniform_mix, cdf, &rt)
         })
     }
 
@@ -1115,20 +987,11 @@ pub struct DataView<'a> {
 }
 
 impl<'a> DataView<'a> {
-    /// A view with no artifact cache (per-query construction).
-    pub fn cold(data: &'a ScoredDataset) -> Self {
+    /// A view with no artifact cache (per-query construction) over a flat
+    /// or segmented corpus.
+    pub fn cold(corpus: impl Into<Corpus<'a>>) -> Self {
         Self {
-            corpus: Corpus::Flat(data),
-            prepared: None,
-            probe: None,
-        }
-    }
-
-    /// A cold view over a segmented corpus (per-query construction of the
-    /// chunk-resident artifacts).
-    pub fn cold_segmented(seg: &'a SegmentedDataset) -> Self {
-        Self {
-            corpus: Corpus::Segmented(seg),
+            corpus: corpus.into(),
             prepared: None,
             probe: None,
         }
@@ -1161,22 +1024,6 @@ impl<'a> DataView<'a> {
     /// True when backed by a prepared artifact cache.
     pub fn is_prepared(&self) -> bool {
         self.prepared.is_some()
-    }
-
-    /// The **flat** dataset's global rank index (shared with every other
-    /// session over the same prepared corpus; lazily built on cold
-    /// views).
-    ///
-    /// # Panics
-    /// Panics for segmented corpora, which keep per-segment indexes —
-    /// use [`rank_source`](Self::rank_source), which serves both layouts.
-    pub fn rank_index(&self) -> &'a RankIndex {
-        match self.corpus {
-            Corpus::Flat(data) => data.rank_index(),
-            Corpus::Segmented(_) => {
-                panic!("DataView::rank_index: segmented corpus has no global rank index")
-            }
-        }
     }
 
     /// The rank structure query results are served from, for either
@@ -1212,7 +1059,7 @@ impl<'a> DataView<'a> {
             None => {
                 let cdf = draws_cdf(strategy, || RecipeState::Cold);
                 let rt = RuntimeConfig::sequential();
-                let built = build_artifacts(self.corpus, exponent, uniform_mix, cdf, &rt);
+                let built = WeightArtifacts::build(self.corpus, exponent, uniform_mix, cdf, &rt);
                 (Arc::new(built), false)
             }
         };
@@ -1262,8 +1109,8 @@ mod tests {
         let prepared = DataView::prepared(&p).artifacts(0.5, 0.1);
         assert!(!DataView::cold(&data).is_prepared());
         assert!(DataView::prepared(&p).is_prepared());
-        assert_eq!(cold.weights().probs(), prepared.weights().probs());
         for i in 0..data.len() {
+            assert_eq!(cold.prob(i).to_bits(), prepared.prob(i).to_bits());
             assert_eq!(
                 cold.reweight_factor(i).to_bits(),
                 prepared.reweight_factor(i).to_bits()
@@ -1277,14 +1124,15 @@ mod tests {
         let scores: Vec<f64> = (0..40_000)
             .map(|i| ((i * 13) % 997) as f64 / 997.0)
             .collect();
-        let serial = WeightArtifacts::build(&scores, 0.5, 0.1);
+        let data = ScoredDataset::new(scores).unwrap();
+        let serial = WeightArtifacts::build(&data, 0.5, 0.1, false, &RuntimeConfig::sequential());
         for parallelism in [2, 4, 8] {
             let rt = RuntimeConfig::default().with_parallelism(parallelism);
-            let pooled = WeightArtifacts::build_with(&scores, 0.5, 0.1, &rt);
-            for i in (0..scores.len()).step_by(997) {
+            let pooled = WeightArtifacts::build(&data, 0.5, 0.1, false, &rt);
+            for i in (0..data.len()).step_by(997) {
                 assert_eq!(
-                    serial.weights().prob(i).to_bits(),
-                    pooled.weights().prob(i).to_bits(),
+                    serial.prob(i).to_bits(),
+                    pooled.prob(i).to_bits(),
                     "prob i={i} parallelism={parallelism}"
                 );
                 assert_eq!(
@@ -1391,7 +1239,10 @@ mod tests {
             .with_runtime(RuntimeConfig::default().with_parallelism(4));
         p.prepare();
         // The index lives on the shared dataset, not a private copy.
-        let idx = p.data().rank_index();
+        let Corpus::Flat(flat) = p.corpus() else {
+            panic!("a flat preparation serves a flat corpus");
+        };
+        let idx = flat.rank_index();
         assert_eq!(idx.len(), 100);
         assert!(std::ptr::eq(idx, data.rank_index()));
         assert_eq!(p.runtime().parallelism, 4);
@@ -1402,11 +1253,12 @@ mod tests {
         let scores: Vec<f64> = (0..2_000)
             .map(|i| ((i * 13) % 997) as f64 / 997.0)
             .collect();
-        let flat = WeightArtifacts::build(&scores, 0.5, 0.1);
+        let data = ScoredDataset::new(scores.clone()).unwrap();
+        let flat = WeightArtifacts::build(&data, 0.5, 0.1, false, &RuntimeConfig::sequential());
         let seg = SegmentedDataset::new(scores.clone(), 64).unwrap();
         for parallelism in [1, 4, 8] {
             let rt = RuntimeConfig::default().with_parallelism(parallelism);
-            let arts = WeightArtifacts::build_segmented_with(&seg, 0.5, 0.1, &rt);
+            let arts = WeightArtifacts::build(&seg, 0.5, 0.1, false, &rt);
             assert!(arts.alias_sampler().is_none(), "segmented table, not flat");
             assert!(!arts.draws_via_cdf());
             for i in 0..scores.len() {
@@ -1435,12 +1287,11 @@ mod tests {
             .map(|i| ((i * 31) % 101) as f64 / 101.0)
             .collect();
         let seg = SegmentedDataset::new(scores, 100).unwrap();
-        let serial =
-            WeightArtifacts::build_segmented_cdf_with(&seg, 0.5, 0.1, &RuntimeConfig::sequential());
+        let serial = WeightArtifacts::build(&seg, 0.5, 0.1, true, &RuntimeConfig::sequential());
         assert!(serial.draws_via_cdf());
         for parallelism in [2, 4, 8] {
             let rt = RuntimeConfig::default().with_parallelism(parallelism);
-            let pooled = WeightArtifacts::build_segmented_cdf_with(&seg, 0.5, 0.1, &rt);
+            let pooled = WeightArtifacts::build(&seg, 0.5, 0.1, true, &rt);
             for i in 0..seg.len() {
                 assert_eq!(
                     serial.sampler().prob(i).to_bits(),
@@ -1469,18 +1320,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "segmented corpus has no flat dataset")]
-    fn segmented_preparation_rejects_flat_data_accessor() {
-        let scores: Vec<f64> = (0..10).map(|i| i as f64 / 10.0).collect();
-        let p = PreparedDataset::from_segmented(SegmentedDataset::new(scores, 4).unwrap());
-        let _ = p.data();
-    }
-
-    #[test]
-    fn share_data_aliases_the_dataset() {
+    fn from_arc_aliases_the_dataset() {
         let arc = Arc::new(dataset());
         let p = PreparedDataset::from_arc(Arc::clone(&arc));
-        assert!(Arc::ptr_eq(&arc, &p.share_data()));
+        assert!(matches!(p.corpus(), Corpus::Flat(flat) if std::ptr::eq(flat, &*arc)));
         assert_eq!(p.len(), 100);
         assert!(!p.is_empty());
     }

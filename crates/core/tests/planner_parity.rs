@@ -204,7 +204,7 @@ fn planned_matches_hand_tuned_flat() {
         let planner = Planner::new();
         let planned_data = PreparedDataset::from_scores(scores()).unwrap();
         let run_planned = || {
-            with_target(SupgSession::over_prepared(&planned_data), target)
+            with_target(SupgSession::over(&planned_data), target)
                 .selector(SelectorKind::ImportanceSampling)
                 .sampler_strategy(SamplerStrategy::Auto)
                 .seed(SEED)
@@ -220,7 +220,7 @@ fn planned_matches_hand_tuned_flat() {
         for p in [1usize, 4, 8] {
             let hand_data = PreparedDataset::from_scores(scores()).unwrap();
             let run_hand = |plan: &supg_core::Plan| {
-                with_target(SupgSession::over_prepared(&hand_data), target)
+                with_target(SupgSession::over(&hand_data), target)
                     .selector(SelectorKind::ImportanceSampling)
                     .sampler_strategy(plan.sampler)
                     .parallelism(p)
@@ -244,7 +244,7 @@ fn planned_matches_hand_tuned_segmented() {
     for (target, name) in [(Target::Rt, "RT"), (Target::Pt, "PT"), (Target::Jt, "JT")] {
         let planner = Planner::new();
         let planned_data = SegmentedDataset::new(scores(), 1 << 10).unwrap();
-        let cold = with_target(SupgSession::over_segmented(&planned_data), target)
+        let cold = with_target(SupgSession::over(&planned_data), target)
             .selector(SelectorKind::ImportanceSampling)
             .sampler_strategy(SamplerStrategy::Auto)
             .seed(SEED)
@@ -255,7 +255,7 @@ fn planned_matches_hand_tuned_segmented() {
 
         for p in [1usize, 4, 8] {
             let hand_data = SegmentedDataset::new(scores(), 1 << 10).unwrap();
-            let hand = with_target(SupgSession::over_segmented(&hand_data), target)
+            let hand = with_target(SupgSession::over(&hand_data), target)
                 .selector(SelectorKind::ImportanceSampling)
                 .sampler_strategy(plan.sampler)
                 .parallelism(p)
@@ -281,7 +281,7 @@ fn planner_resolves_cold_auto_to_cdf_then_promotes() {
     let planner = Planner::new();
     let data = PreparedDataset::from_scores(scores()).unwrap();
     let run = || {
-        SupgSession::over_prepared(&data)
+        SupgSession::over(&data)
             .recall(0.9)
             .budget(BUDGET)
             .selector(SelectorKind::ImportanceSampling)

@@ -67,7 +67,7 @@ fn prepared_sessions_match_cold_sessions_for_every_selector() {
                     .unwrap()
             };
             let cold = run(SupgSession::over(&data));
-            let warm = run(SupgSession::over_prepared(&prepared));
+            let warm = run(SupgSession::over(&prepared));
             let name = kind.paper_name(target).unwrap();
             assert_outcomes_identical(&cold, &warm, &format!("{name} @p{parallelism}"));
         }
@@ -91,7 +91,7 @@ fn prepared_jt_pipeline_matches_cold() {
             .unwrap()
     };
     let cold = run(SupgSession::over(&data));
-    let warm = run(SupgSession::over_prepared(&prepared));
+    let warm = run(SupgSession::over(&prepared));
     assert!(warm.joint);
     assert_outcomes_identical(&cold, &warm, "JT");
 }
@@ -114,7 +114,7 @@ fn concurrent_shared_sessions_reproduce_the_cold_outcome() {
             let labels = labels.clone();
             std::thread::spawn(move || {
                 let mut oracle = CachedOracle::from_labels(labels, 800);
-                SupgSession::over_shared(prepared)
+                SupgSession::over(prepared)
                     .recall(0.9)
                     .budget(800)
                     .seed(7)
@@ -150,7 +150,7 @@ fn pooled_preparation_matches_cold_sessions() {
             .unwrap()
     };
     let cold = run(SupgSession::over(&data));
-    let warm = run(SupgSession::over_prepared(&prepared));
+    let warm = run(SupgSession::over(&prepared));
     assert_outcomes_identical(&cold, &warm, "pooled preparation");
     assert_eq!(cold.tau.to_bits(), warm.tau.to_bits());
 }
@@ -163,7 +163,7 @@ fn warmed_cache_serves_without_growth() {
     assert_eq!(prepared.cached_recipes(), 1);
     for seed in 0..4 {
         let mut oracle = CachedOracle::from_labels(labels.clone(), 400);
-        SupgSession::over_prepared(&prepared)
+        SupgSession::over(&prepared)
             .precision(0.8)
             .budget(400)
             .seed(seed)

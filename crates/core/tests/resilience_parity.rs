@@ -106,7 +106,7 @@ fn retried_faulty_runs_match_fault_free_bit_for_bit() {
             for segmented in [false, true] {
                 let session = || {
                     if segmented {
-                        SupgSession::over_segmented(&seg).parallelism(parallelism)
+                        SupgSession::over(&seg).parallelism(parallelism)
                     } else {
                         SupgSession::over(&flat).parallelism(parallelism)
                     }

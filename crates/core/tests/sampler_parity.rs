@@ -26,9 +26,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use supg_core::rank::RankIndex;
 use supg_core::selectors::SelectorConfig;
+use supg_core::session::SessionData;
 use supg_core::{
     CachedOracle, Planner, PreparedDataset, QueryOutcome, RecipeState, ResultView, RuntimeConfig,
-    SamplerStrategy, ScoredDataset, SelectionResult, SelectorKind, SupgSession, WeightArtifacts,
+    SamplerStrategy, ScoredDataset, SegmentedDataset, SelectionResult, SelectorKind, SupgSession,
+    WeightArtifacts,
 };
 
 fn rare(n: usize, seed: u64) -> (ScoredDataset, Vec<bool>) {
@@ -144,13 +146,7 @@ fn prepared_matches_cold_within_each_strategy() {
     let prepared = PreparedDataset::new(data.clone());
     for strategy in [SamplerStrategy::Alias, SamplerStrategy::Cdf] {
         let cold = run_strategy(SupgSession::over(&data), &labels, 700, strategy, 31);
-        let warm = run_strategy(
-            SupgSession::over_prepared(&prepared),
-            &labels,
-            700,
-            strategy,
-            31,
-        );
+        let warm = run_strategy(SupgSession::over(&prepared), &labels, 700, strategy, 31);
         assert_outcomes_identical(&cold, &warm, &format!("{strategy:?} prepared vs cold"));
     }
     // Distinct backends cache under distinct keys.
@@ -182,7 +178,7 @@ fn auto_serves_cdf_cold_and_alias_once_recurring() {
     // request promotes the recipe to the cached alias table.
     let prepared = PreparedDataset::new(data.clone());
     let q1 = run_strategy(
-        SupgSession::over_prepared(&prepared),
+        SupgSession::over(&prepared),
         &labels,
         700,
         SamplerStrategy::Auto,
@@ -199,7 +195,7 @@ fn auto_serves_cdf_cold_and_alias_once_recurring() {
         5,
     );
     let q2 = run_strategy(
-        SupgSession::over_prepared(&prepared),
+        SupgSession::over(&prepared),
         &labels,
         700,
         SamplerStrategy::Auto,
@@ -208,7 +204,7 @@ fn auto_serves_cdf_cold_and_alias_once_recurring() {
     assert_outcomes_identical(&q2, &alias_ref, "prepared Auto second query ≡ Alias");
     assert_eq!(prepared.cached_recipes(), 2, "promotion cached the alias");
     let q3 = run_strategy(
-        SupgSession::over_prepared(&prepared),
+        SupgSession::over(&prepared),
         &labels,
         700,
         SamplerStrategy::Auto,
@@ -231,7 +227,7 @@ fn warming_promotes_auto_to_alias_immediately() {
         8,
     );
     let warmed = run_strategy(
-        SupgSession::over_prepared(&prepared),
+        SupgSession::over(&prepared),
         &labels,
         500,
         SamplerStrategy::Auto,
@@ -247,7 +243,7 @@ fn auto_session(
     which: usize,
     config: SelectorConfig,
 ) -> SupgSession<'_> {
-    let session = SupgSession::over_prepared(prepared)
+    let session = SupgSession::over(prepared)
         .selector_config(config.with_sampler(SamplerStrategy::Auto))
         .seed(11);
     match which {
@@ -359,12 +355,12 @@ fn cdf_strategy_runs_every_importance_selector_and_jt() {
 // --- Alias-build determinism (mirrors rank_parity.rs's build cases) ---
 
 fn assert_artifacts_bit_identical(a: &WeightArtifacts, b: &WeightArtifacts, context: &str) {
-    let (wa, wb) = (a.weights(), b.weights());
-    assert_eq!(wa.len(), wb.len(), "{context}: length");
-    for i in 0..wa.len() {
+    let n = a.sampler().len();
+    assert_eq!(n, b.sampler().len(), "{context}: length");
+    for i in 0..n {
         assert_eq!(
-            wa.prob(i).to_bits(),
-            wb.prob(i).to_bits(),
+            a.prob(i).to_bits(),
+            b.prob(i).to_bits(),
             "{context}: weight prob {i}"
         );
     }
@@ -383,10 +379,11 @@ fn alias_build_is_bit_identical_at_any_parallelism_and_chunking() {
     let scores: Vec<f64> = (0..60_000)
         .map(|i| ((i * 7919) % 997) as f64 / 997.0)
         .collect();
-    let serial = WeightArtifacts::build(&scores, 0.5, 0.1);
+    let data = ScoredDataset::new(scores.clone()).unwrap();
+    let serial = WeightArtifacts::build(&data, 0.5, 0.1, false, &RuntimeConfig::sequential());
     for parallelism in [1usize, 4, 8] {
         let rt = RuntimeConfig::default().with_parallelism(parallelism);
-        let pooled = WeightArtifacts::build_with(&scores, 0.5, 0.1, &rt);
+        let pooled = WeightArtifacts::build(&data, 0.5, 0.1, false, &rt);
         assert_artifacts_bit_identical(&serial, &pooled, &format!("parallelism={parallelism}"));
     }
     for runs in [1usize, 2, 3, 5, 8, 16] {
@@ -501,29 +498,62 @@ proptest! {
 #[test]
 fn run_view_reproduces_run_bit_for_bit() {
     let (data, labels) = rare(18_000, 75);
-    for strategy in [SamplerStrategy::Alias, SamplerStrategy::Cdf] {
-        let session = SupgSession::over(&data)
-            .recall(0.9)
-            .budget(700)
-            .selector(SelectorKind::ImportanceSampling)
-            .sampler_strategy(strategy)
-            .seed(606);
-        let mut o1 = CachedOracle::from_labels(labels.clone(), 700);
-        let owned = session.clone().run(&mut o1).unwrap();
-        let mut o2 = CachedOracle::from_labels(labels.clone(), 700);
-        let streamed = session.run_view(&mut o2).unwrap();
+    let seg = SegmentedDataset::new(data.scores().to_vec(), 4_096).unwrap();
+    let prepared = PreparedDataset::new(data.clone());
+    let shared = Arc::new(PreparedDataset::from_segmented(seg.clone()));
+    // Every `SupgSession::over` source: cold flat, cold segmented, a
+    // borrowed prepared dataset and an owned shared one.
+    let sources: [(&str, SessionData<'_>); 4] = [
+        ("cold flat", (&data).into()),
+        ("cold segmented", (&seg).into()),
+        ("prepared", (&prepared).into()),
+        ("shared segmented", Arc::clone(&shared).into()),
+    ];
+    for (name, source) in &sources {
+        for strategy in [SamplerStrategy::Alias, SamplerStrategy::Cdf] {
+            for kind in ["RT", "PT", "JT"] {
+                let base = SupgSession::over(source.clone())
+                    .sampler_strategy(strategy)
+                    .seed(606);
+                let session = match kind {
+                    "RT" => base
+                        .recall(0.9)
+                        .budget(700)
+                        .selector(SelectorKind::ImportanceSampling),
+                    "PT" => base.precision(0.9).budget(700),
+                    _ => base.recall(0.8).precision(0.9).joint(300),
+                };
+                let context = format!("{name} {strategy:?} {kind}");
+                let mut o1 = CachedOracle::from_labels(labels.clone(), 700);
+                let owned = session.clone().run(&mut o1).unwrap();
+                let mut o2 = CachedOracle::from_labels(labels.clone(), 700);
+                let streamed = session.run_view(&mut o2).unwrap();
 
-        assert_eq!(streamed.tau.to_bits(), owned.tau.to_bits());
-        assert_eq!(streamed.candidates, owned.candidates);
-        assert_eq!(streamed.oracle_calls, owned.oracle_calls);
-        let from_view: Vec<usize> = streamed.result.iter().collect();
-        assert_eq!(from_view.as_slice(), owned.result.indices());
-        // The zero-copy prefix really borrows the dataset's rank order.
-        assert_eq!(
-            streamed.result.tau_prefix(),
-            &data.rank_index().order()[..streamed.result.threshold_len()]
-        );
-        assert_eq!(streamed.into_owned().result, owned.result);
+                assert_eq!(streamed.tau.to_bits(), owned.tau.to_bits(), "{context}");
+                assert_eq!(streamed.candidates, owned.candidates, "{context}");
+                assert_eq!(streamed.oracle_calls, owned.oracle_calls, "{context}");
+                let from_view: Vec<usize> = streamed.result.iter().collect();
+                assert_eq!(from_view.as_slice(), owned.result.indices(), "{context}");
+                // The prefix is the dataset's canonical rank order —
+                // borrowed for flat sources, stitched for segmented ones.
+                assert_eq!(
+                    streamed.result.tau_prefix(),
+                    &data.rank_index().order()[..streamed.result.threshold_len()],
+                    "{context}"
+                );
+                // `run` is `run_view(..).into_owned()`, bit for bit.
+                let materialized = streamed.into_owned();
+                assert_outcomes_identical(&materialized, &owned, &context);
+                assert_eq!(materialized.result, owned.result, "{context}");
+                assert_eq!(
+                    (materialized.stage_calls, materialized.filter_calls),
+                    (owned.stage_calls, owned.filter_calls),
+                    "{context}"
+                );
+                assert_eq!(materialized.joint, owned.joint, "{context}");
+                assert_eq!(materialized.selector, owned.selector, "{context}");
+            }
+        }
     }
 }
 
@@ -561,16 +591,10 @@ fn run_view_streams_joint_sessions_and_shared_sessions() {
     }
     assert_eq!(streamed.into_owned().result, owned.result);
 
-    // The plain-Oracle streaming entry point rejects JT (it cannot
-    // re-budget the oracle between stages).
-    let mut oracle = CachedOracle::from_labels(labels.clone(), 300);
-    let err = session.run_view_single_target(&mut oracle).unwrap_err();
-    assert!(matches!(err, supg_core::SupgError::InvalidQuery(_)));
-
     // A session owning a shared prepared handle can stream too (the view
     // borrows from the session itself).
     let prepared = Arc::new(PreparedDataset::new(data));
-    let session = SupgSession::over_shared(Arc::clone(&prepared))
+    let session = SupgSession::over(Arc::clone(&prepared))
         .recall(0.9)
         .budget(300)
         .seed(2);

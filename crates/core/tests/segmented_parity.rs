@@ -107,7 +107,7 @@ fn segmented_matches_flat_across_layouts_targets_and_parallelism() {
                     4242,
                 );
                 let segd = run_mode(
-                    SupgSession::over_segmented(&seg).parallelism(parallelism),
+                    SupgSession::over(&seg).parallelism(parallelism),
                     mode,
                     &labels,
                     4242,
@@ -143,7 +143,7 @@ fn segmented_matches_flat_for_every_registry_selector() {
                 .unwrap()
         };
         let flat = run(SupgSession::over(&data));
-        let segd = run(SupgSession::over_segmented(&seg));
+        let segd = run(SupgSession::over(&seg));
         let name = kind.paper_name(target).unwrap();
         assert_outcomes_identical(&flat, &segd, name);
     }
@@ -171,10 +171,10 @@ fn prepared_segmented_matches_cold_flat() {
             .unwrap()
     };
     let cold = run(SupgSession::over(&data));
-    let warm = run(SupgSession::over_prepared(&prepared));
+    let warm = run(SupgSession::over(&prepared));
     assert_outcomes_identical(&cold, &warm, "prepared segmented");
     // Repeat queries hit the cache, never rebuild.
-    let again = run(SupgSession::over_prepared(&prepared));
+    let again = run(SupgSession::over(&prepared));
     assert_outcomes_identical(&cold, &again, "prepared segmented (warm)");
     assert_eq!(prepared.cached_recipes(), 1);
 }
@@ -197,7 +197,7 @@ proptest! {
         let seg = SegmentedDataset::new(scores, segment_size.min(n)).unwrap();
         let mode = if recall_target { Mode::Recall } else { Mode::Precision };
         let flat = run_mode(SupgSession::over(&data), mode, &labels, seed);
-        let segd = run_mode(SupgSession::over_segmented(&seg), mode, &labels, seed);
+        let segd = run_mode(SupgSession::over(&seg), mode, &labels, seed);
         assert_outcomes_identical(&flat, &segd, &format!("{mode:?} n={n} seg={segment_size} seed={seed}"));
     }
 }

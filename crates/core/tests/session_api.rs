@@ -238,11 +238,11 @@ fn bare_sessions_resolve_to_the_paper_family_defaults() {
 }
 
 #[test]
-fn custom_oracles_run_single_target_without_session_oracle() {
-    use supg_core::{Oracle, SupgError};
+fn custom_session_oracles_run_rt_and_jt() {
+    use supg_core::{Oracle, SessionOracle, SupgError};
 
-    /// A plain Oracle implementation, as a downstream labeling service
-    /// would write it — no `SessionOracle`/`set_budget` support.
+    /// A downstream labeling service's oracle: plain `Oracle` labeling
+    /// plus the one `SessionOracle` method, with no label cache.
     struct CountingOracle {
         labels: Vec<bool>,
         used: usize,
@@ -265,29 +265,44 @@ fn custom_oracles_run_single_target_without_session_oracle() {
             self.budget
         }
     }
+    impl SessionOracle for CountingOracle {
+        fn set_budget(&mut self, budget: usize) {
+            self.budget = budget;
+        }
+    }
 
     let (data, labels) = dataset(5_000);
     let mut oracle = CountingOracle {
-        labels,
+        labels: labels.clone(),
         used: 0,
         budget: 500,
     };
     let outcome = SupgSession::over(&data)
         .recall(0.9)
         .budget(500)
-        .run_single_target(&mut oracle)
+        .run(&mut oracle)
         .unwrap();
     assert_eq!(outcome.selector, "IS-CI-R");
     assert!(oracle.used <= 500);
 
-    // JT mode needs a re-budgetable oracle and says so.
-    let err = SupgSession::over(&data)
+    // JT re-budgets the oracle stage by stage through `set_budget` and
+    // puts the caller's budget back afterwards.
+    let mut oracle = CountingOracle {
+        labels: labels.clone(),
+        used: 0,
+        budget: 7,
+    };
+    let jt = SupgSession::over(&data)
         .recall(0.8)
         .precision(0.9)
         .joint(100)
-        .run_single_target(&mut oracle)
-        .unwrap_err();
-    assert!(matches!(err, SupgError::InvalidQuery(_)), "{err:?}");
+        .run(&mut oracle)
+        .unwrap();
+    assert!(jt.joint);
+    assert!(jt.stage_calls <= 100);
+    assert_eq!(jt.oracle_calls, oracle.used);
+    assert_eq!(oracle.budget, 7);
+    assert!(jt.result.iter().all(|i| labels[i]));
 }
 
 #[test]

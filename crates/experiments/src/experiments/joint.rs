@@ -36,7 +36,7 @@ pub fn fig15(ctx: &ExpContext) -> String {
                 let totals: Vec<f64> = (0..trials)
                     .map(|t| {
                         let mut oracle = w.oracle(0);
-                        let out = SupgSession::over_prepared(&w.prepared)
+                        let out = SupgSession::over(&*w.prepared)
                             .recall(gamma)
                             .precision(gamma)
                             .delta(0.05)

@@ -104,7 +104,7 @@ pub fn table5(ctx: &ExpContext) -> String {
         // Measure the actual query-processing time of one SUPG query: the
         // session's per-stage accounting includes elapsed wall-clock time.
         let mut oracle = w.oracle(w.budget);
-        let outcome = SupgSession::over_prepared(&w.prepared)
+        let outcome = SupgSession::over(&*w.prepared)
             .recall(0.9)
             .delta(0.05)
             .budget(w.budget)

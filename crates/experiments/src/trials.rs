@@ -176,7 +176,7 @@ pub fn run_one_trial_with(
     let mut oracle = workload.oracle(query.budget());
     // Prepared session: the workload's shared artifact cache absorbs the
     // per-trial O(n) sampling setup (results identical to a cold session).
-    let outcome = SupgSession::over_prepared(&workload.prepared)
+    let outcome = SupgSession::over(&*workload.prepared)
         .query(query)
         .selector(selector)
         .selector_config(cfg)

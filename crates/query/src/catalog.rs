@@ -142,11 +142,6 @@ impl Table {
             .insert(name.into(), OracleUdf::Shared(Arc::new(f)));
     }
 
-    /// Looks up a proxy's pre-scored dataset.
-    pub fn proxy(&self, name: &str) -> Result<Arc<ScoredDataset>, QueryError> {
-        self.prepared_proxy(name).map(|p| p.share_data())
-    }
-
     /// Looks up a proxy's prepared dataset (scores + the shared rank
     /// index + the cached sampling artifacts, all reused across
     /// statements).
@@ -266,8 +261,8 @@ mod tests {
         t.register_proxy("score", vec![0.1, 0.2, 0.3, 0.4]).unwrap();
         t.register_oracle("truth", |i| i == 3);
         t.register_parallel_oracle("pure_truth", |i| i == 3);
-        assert_eq!(t.proxy("score").unwrap().len(), 4);
-        assert!(t.proxy("missing").is_err());
+        assert_eq!(t.prepared_proxy("score").unwrap().len(), 4);
+        assert!(t.prepared_proxy("missing").is_err());
         let oracle = t.oracle("truth").unwrap();
         assert!(matches!(oracle, OracleUdf::Serial(_)));
         assert!(oracle.call(3));

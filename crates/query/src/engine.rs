@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use supg_core::selectors::SelectorConfig;
 use supg_core::session::DEFAULT_JT_STAGE_BUDGET;
@@ -295,7 +295,7 @@ impl Engine {
             };
             self.config.selector.paper_family_default(target)
         });
-        let mut session = SupgSession::over_shared(dataset)
+        let mut session = SupgSession::over(dataset)
             .delta(statement.delta())
             .selector(kind)
             .selector_config(self.config.tuning);
@@ -329,8 +329,11 @@ impl Engine {
             }
         }
         .with_runtime(self.config.runtime);
+        // Each statement's seed is the next draw of the engine's seeded
+        // RNG, so a script replays identically per `Engine::with_seed`.
         let outcome = session
-            .run_with_rng(&mut oracle, &mut self.rng)
+            .seed(self.rng.next_u64())
+            .run(&mut oracle)
             .map_err(QueryError::Execution)?;
         Ok(QueryReport {
             indices: outcome.result.indices().to_vec(),
@@ -413,6 +416,69 @@ mod tests {
             report.stage_calls + report.filter_calls
         );
         assert_eq!(report.selector, "IS-CI-R");
+    }
+
+    #[test]
+    fn statement_k_runs_with_the_kth_seed_of_the_engine_rng() {
+        // The per-statement seed contract: statement k of a script runs
+        // exactly the session seeded with the k-th `next_u64` of the
+        // engine's seeded RNG.
+        let n = 10_000;
+        let mut e = engine(n);
+        let truth: Vec<bool> = (0..n).map(|i| (i % 1000) as f64 / 1000.0 > 0.8).collect();
+        let script = [
+            "SELECT * FROM frames WHERE MATCH(f) ORACLE LIMIT 600 \
+             USING score RECALL TARGET 90% WITH PROBABILITY 95%",
+            "SELECT * FROM frames WHERE MATCH(f) ORACLE LIMIT 600 \
+             USING score PRECISION TARGET 90% WITH PROBABILITY 95%",
+            "SELECT * FROM frames WHERE MATCH(f) USING score \
+             RECALL TARGET 80% PRECISION TARGET 90% WITH PROBABILITY 95%",
+            "SELECT * FROM frames WHERE MATCH(f) ORACLE LIMIT 600 \
+             USING score RECALL TARGET 90% WITH PROBABILITY 95%",
+        ];
+        let reports: Vec<QueryReport> = script.iter().map(|sql| e.execute(sql).unwrap()).collect();
+        let prepared = e
+            .catalog()
+            .table("frames")
+            .unwrap()
+            .prepared_proxy("score")
+            .unwrap();
+        let mut seeds = StdRng::seed_from_u64(7);
+        for (k, (sql, report)) in script.iter().zip(&reports).enumerate() {
+            let statement = parse(sql).unwrap();
+            let mut session = SupgSession::over(&*prepared)
+                .delta(statement.delta())
+                .seed(seeds.next_u64());
+            if let Some(gamma) = statement.recall_target() {
+                session = session.recall(gamma);
+            }
+            if let Some(gamma) = statement.precision_target() {
+                session = session.precision(gamma);
+            }
+            session = match statement.oracle_limit {
+                Some(budget) => session.budget(budget),
+                None => session.joint(DEFAULT_JT_STAGE_BUDGET),
+            };
+            let budget = statement.oracle_limit.unwrap_or(0);
+            let mut oracle = CachedOracle::from_labels(truth.clone(), budget);
+            let expected = session.run(&mut oracle).unwrap();
+            assert_eq!(
+                report.tau.to_bits(),
+                expected.tau.to_bits(),
+                "statement {k}"
+            );
+            assert_eq!(report.indices, expected.result.indices(), "statement {k}");
+            assert_eq!(report.selector, expected.selector, "statement {k}");
+            assert_eq!(
+                (report.oracle_calls, report.stage_calls, report.filter_calls),
+                (
+                    expected.oracle_calls,
+                    expected.stage_calls,
+                    expected.filter_calls
+                ),
+                "statement {k}"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,11 @@
 //! Serving adds accounting, never different answers: an admitted query's
 //! outcome is bit-identical to running the same spec through a
 //! [`SupgSession`](supg_core::SupgSession) directly, whatever the
-//! concurrency.
+//! concurrency. The server uses the same two entry points an in-process
+//! caller does, with owned handles so sessions are `'static`:
+//! [`SupgSession::over`](supg_core::SupgSession::over) an
+//! `Arc<PreparedDataset>`, [`planned`](supg_core::SupgSession::planned)
+//! with the dataset's `Arc<Planner>`.
 //!
 //! ## Robust serving
 //!

@@ -41,7 +41,7 @@ const BUCKETS: usize = 40;
 ///
 /// Recording is one relaxed `fetch_add` into the sample's bucket plus
 /// two for the count/total — safe from any number of threads. Memory is
-/// fixed at [`BUCKETS`] counters regardless of sample count.
+/// fixed at 40 bucket counters regardless of sample count.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],

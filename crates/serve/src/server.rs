@@ -157,7 +157,7 @@ impl QuerySpec {
 
     /// Builds the configured session over a pooled dataset handle.
     fn session(&self, dataset: Arc<supg_core::PreparedDataset>) -> SupgSession<'static> {
-        let session = SupgSession::over_shared(dataset)
+        let session = SupgSession::over(dataset)
             .delta(self.delta)
             .selector_config(self.config)
             .seed(self.seed);
@@ -520,11 +520,9 @@ impl SupgServer {
                 });
             }
             let mut resilient = ResilientOracle::new(oracle, policy);
-            spec.session(prepared)
-                .planned_shared(planner)
-                .run(&mut resilient)
+            spec.session(prepared).planned(planner).run(&mut resilient)
         } else {
-            spec.session(prepared).planned_shared(planner).run(oracle)
+            spec.session(prepared).planned(planner).run(oracle)
         };
 
         match run {

@@ -107,7 +107,7 @@
 //! let prepared = Arc::new(PreparedDataset::from_scores(scores).unwrap());
 //! for seed in 0..4 {
 //!     let mut oracle = CachedOracle::from_labels(labels.clone(), 1_000);
-//!     SupgSession::over_shared(Arc::clone(&prepared))
+//!     SupgSession::over(Arc::clone(&prepared))
 //!         .recall(0.9)
 //!         .budget(1_000)
 //!         .seed(seed)
@@ -134,11 +134,13 @@
 //! (`SupgSession::sampler_strategy(..)`, or `tuning.sampler` on the SQL
 //! engine's `EngineConfig`). Strategies consume the seeded RNG stream
 //! differently — each is deterministic, all carry the same `1 − δ`
-//! guarantee. For huge answers,
-//! `SupgSession::run_view` returns a borrowed [`core::ResultView`] — the
-//! threshold set stays a zero-copy slice of the rank index with O(1)
-//! membership, and the owned materialization is deferred until you call
-//! `into_owned()`.
+//! guarantee. A session has one constructor, `SupgSession::over` — over
+//! a `&ScoredDataset`, a `&SegmentedDataset`, a `&PreparedDataset` or an
+//! `Arc<PreparedDataset>` — and two run methods: `run` returns the owned
+//! result, and for huge answers `run_view` returns a borrowed
+//! [`core::ResultView`] — the threshold set stays a zero-copy slice of
+//! the rank index with O(1) membership, and the owned materialization
+//! is deferred until you call `into_owned()` (which is all `run` does).
 //!
 //! ## Segmented datasets: 10⁸–10⁹-record corpora
 //!
@@ -150,8 +152,9 @@
 //! of the sampling artifacts — built fully in parallel with no final
 //! re-merge — while threshold sets are stitched across segment heads in
 //! canonical global rank order. Sessions run over it unchanged
-//! (`SupgSession::over_segmented`, or `PreparedDataset::from_segmented`
-//! for the cached serving path), and the outcome is **bit-identical**
+//! (`SupgSession::over(&segmented)`, or
+//! `PreparedDataset::from_segmented` for the cached serving path), and
+//! the outcome is **bit-identical**
 //! to the flat layout at every segment size and parallelism under the
 //! default sampler strategy — the layout is an artifact-residency
 //! decision, never visible in results. CSV corpora load segment-aligned
