@@ -11,15 +11,13 @@ use crate::runtime::RuntimeConfig;
 ///
 /// SUPG evaluates the proxy on every record up front (proxy calls are
 /// assumed cheap); the algorithms then work only with scores and record
-/// indices. The rank index — the descending-score permutation, its
-/// inverse, and the sorted score view — is built **once** per dataset and
-/// reused for:
+/// indices. The rank index — the descending-score permutation and the
+/// sorted score view — is built **once** per dataset and reused for:
 ///
-/// * `|D(τ)|`, membership and set materialization (`count_at_least`,
-///   `select`, [`RankIndex::materialize_union`]),
+/// * `|D(τ)|` and set materialization (`count_at_least`, `select`,
+///   [`ResultView`](crate::executor::ResultView)),
 /// * the top-`k` cutoff of the two-stage precision estimator
 ///   (`kth_highest_score`),
-/// * canonical ordering of oracle samples ([`crate::sample`]),
 /// * fast precision/recall evaluation in [`crate::metrics`].
 ///
 /// Construction only validates (O(n)); the O(n log n) sort happens on
@@ -99,21 +97,9 @@ impl ScoredDataset {
             .get_or_init(|| Arc::new(RankIndex::build(&self.scores, rt)))
     }
 
-    /// A shared handle to the rank index (building it serially if absent),
-    /// for callers that outlive the dataset borrow (benchmarks, services).
-    pub fn share_rank_index(&self) -> Arc<RankIndex> {
-        self.rank_index();
-        Arc::clone(self.index.get().expect("index just initialized"))
-    }
-
     /// Record indices in descending score order (ties ascending by index).
     pub fn order_desc(&self) -> &[u32] {
         self.rank_index().order()
-    }
-
-    /// Canonical rank of record `i` (0 = highest score).
-    pub fn rank_of(&self, i: usize) -> usize {
-        self.rank_index().rank_of(i)
     }
 
     /// Number of records with `A(x) ≥ tau`, i.e. `|D(τ)|`.
@@ -175,14 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_is_the_inverse_permutation() {
-        let d = dataset();
-        for (r, &i) in d.order_desc().iter().enumerate() {
-            assert_eq!(d.rank_of(i as usize), r);
-        }
-    }
-
-    #[test]
     fn lazy_serial_and_pool_builds_agree() {
         let scores: Vec<f64> = (0..40_000)
             .map(|i| ((i * 13) % 101) as f64 / 101.0)
@@ -191,11 +169,6 @@ mod tests {
         let pooled = ScoredDataset::new(scores).unwrap();
         pooled.prepare_rank_index(&RuntimeConfig::default().with_parallelism(4));
         assert_eq!(lazy.rank_index(), pooled.rank_index());
-        // share_rank_index aliases the cached build.
-        assert!(std::ptr::eq(
-            Arc::as_ptr(&pooled.share_rank_index()),
-            pooled.rank_index()
-        ));
     }
 
     #[test]

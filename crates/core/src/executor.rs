@@ -11,15 +11,15 @@
 //!
 //! The pipeline itself lives in [`crate::session`]; this module keeps the
 //! result-set types: the owned [`SelectionResult`] and the borrowed
-//! [`ResultView`] over the rank index, which serves huge `τ`-sets without
+//! [`ResultView`] over the corpus, which serves huge `τ`-sets without
 //! the O(k) materialization copy. (The `SupgExecutor` compatibility shim
 //! that used to live here was deprecated for one release and has been
 //! removed — run queries through [`crate::session::SupgSession`].)
 
 use std::sync::OnceLock;
 
-use crate::rank::RankIndex;
-use crate::segment::SegmentedDataset;
+use crate::rank;
+use crate::segment::Corpus;
 
 pub use crate::session::QueryOutcome;
 
@@ -76,7 +76,7 @@ impl SelectionResult {
     /// Wraps indices that are already duplicate-free, preserving their
     /// order — the O(k) constructor of the rank-index serving path, whose
     /// prefix-slice + below-cut-extras assembly is duplicate-free by
-    /// construction ([`crate::rank::RankIndex::materialize_union`]).
+    /// construction ([`ResultView::to_result`]).
     pub fn from_ranked(indices: Vec<usize>) -> Self {
         debug_assert!(
             {
@@ -111,8 +111,8 @@ impl SelectionResult {
     /// indices, built once on the first call — O(len log len) then, and
     /// O(log len) for every test after, replacing the per-call linear
     /// scan the rank-canonical result order used to force. (A
-    /// [`ResultView`] answers the same question in O(1) from the rank
-    /// index without any shadow, when the view is still available.)
+    /// [`ResultView`] answers the same question with a score comparison
+    /// and no shadow, when the view is still available.)
     pub fn contains(&self, index: usize) -> bool {
         let sorted = self.sorted.get_or_init(|| {
             let mut shadow = self.indices.clone();
@@ -125,49 +125,6 @@ impl SelectionResult {
     /// Iterates the returned record indices in result order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.indices.iter().copied()
-    }
-}
-
-/// The rank structure a [`ResultView`] answers membership and ordering
-/// queries against: either a flat dataset's global [`RankIndex`] or a
-/// [`SegmentedDataset`]'s per-segment indexes (queried through its
-/// global-rank combinators). Both expose the same canonical total order
-/// (descending score, ties ascending by record index), so a view built
-/// over either source yields bit-identical results.
-#[derive(Debug, Clone, Copy)]
-pub enum RankSource<'a> {
-    /// A flat dataset's global rank index.
-    Flat(&'a RankIndex),
-    /// A segmented dataset; global ranks are derived from per-segment
-    /// indexes without ever merging them.
-    Segmented(&'a SegmentedDataset),
-}
-
-impl<'a> From<&'a RankIndex> for RankSource<'a> {
-    fn from(index: &'a RankIndex) -> Self {
-        Self::Flat(index)
-    }
-}
-
-impl<'a> From<&'a SegmentedDataset> for RankSource<'a> {
-    fn from(seg: &'a SegmentedDataset) -> Self {
-        Self::Segmented(seg)
-    }
-}
-
-impl RankSource<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Self::Flat(index) => index.len(),
-            Self::Segmented(seg) => seg.len(),
-        }
-    }
-
-    fn rank_of(&self, i: usize) -> usize {
-        match self {
-            Self::Flat(index) => index.rank_of(i),
-            Self::Segmented(seg) => seg.rank_of(i),
-        }
     }
 }
 
@@ -188,11 +145,11 @@ impl Prefix<'_> {
     }
 }
 
-/// A borrowed query result over the dataset's rank structure: the
-/// threshold set `D(τ)` as a rank-prefix **slice** (borrowed zero-copy
-/// from a flat [`RankIndex`], or stitched once across a
-/// [`SegmentedDataset`]'s segments) plus the below-cut labeled positives
-/// as a small owned tail.
+/// A borrowed query result over a [`Corpus`]: the threshold set `D(τ)`
+/// as a rank-prefix **slice** (borrowed zero-copy from a flat dataset's
+/// [`RankIndex`](crate::rank::RankIndex), or stitched once across a
+/// [`SegmentedDataset`](crate::segment::SegmentedDataset)'s segments)
+/// plus the below-cut labeled positives as a small owned tail.
 ///
 /// This is the streaming form of a query answer — `R = D(τ) ∪ R1` exactly
 /// as [`SelectionResult`] holds it, in the same canonical order
@@ -201,78 +158,72 @@ impl Prefix<'_> {
 /// wants owned indices ([`to_result`](ResultView::to_result)). Sessions
 /// produce it via
 /// [`SupgSession::run_view`](crate::session::SupgSession::run_view);
-/// membership tests are O(1) rank comparisons instead of any search.
+/// membership is a score comparison against `τ` — a record is in `D(τ)`
+/// iff its score is `≥ τ` — so no rank lookup is needed.
 #[derive(Debug, Clone)]
 pub struct ResultView<'a> {
-    source: RankSource<'a>,
-    /// `|D(τ)|`: the length of the rank prefix (pre-filter, for
-    /// filtered views).
-    cut: usize,
-    /// The threshold-set prefix in canonical rank order: borrowed for
-    /// flat sources, stitched (owned) for segmented ones. Always exactly
-    /// `cut` entries.
+    corpus: Corpus<'a>,
+    /// The threshold the view was cut at.
+    tau: f64,
+    /// The threshold-set prefix in canonical order: borrowed for flat
+    /// corpora, stitched (owned) for segmented ones. Its length is
+    /// `|D(τ)|` (pre-filter, for filtered views).
     prefix: Prefix<'a>,
     /// Labeled positives below the cut — ascending, duplicate-free,
     /// disjoint from the prefix by construction. For filtered views,
     /// only the positives that survived the filter.
     extras: Vec<usize>,
-    /// For filtered (joint-query) views: the ascending rank positions
-    /// (`< cut`) of prefix candidates that survived oracle filtering.
-    /// `None` means the whole prefix is in the result (the RT/PT form).
-    kept_ranks: Option<Vec<u32>>,
+    /// For filtered (joint-query) views: the ascending prefix positions
+    /// of candidates that survived oracle filtering. `None` means the
+    /// whole prefix is in the result (the RT/PT form).
+    kept: Option<Vec<u32>>,
 }
 
 impl<'a> ResultView<'a> {
-    /// Builds the view for threshold `tau` over a rank source (a flat
-    /// [`RankIndex`] or a [`SegmentedDataset`] — both convert), keeping
-    /// from `positives` (ascending, deduplicated record indices — a
-    /// labeled-positive set) only the records below the cut. For flat
-    /// sources this is O(log n) for the cut plus O(|positives|) for the
-    /// filter — independent of `|D(τ)|`; segmented sources pay one
-    /// O(|D(τ)| log s) k-way stitch of the per-segment prefixes.
+    /// Builds the view for threshold `tau` over a flat or segmented
+    /// corpus, keeping from `positives` (ascending, deduplicated record
+    /// indices — a labeled-positive set) only the records below the cut,
+    /// i.e. with score `< τ`. For flat corpora this is O(log n) for the
+    /// cut plus O(|positives|) for the filter — independent of `|D(τ)|`;
+    /// segmented corpora pay one O(|D(τ)| log s) k-way stitch of the
+    /// per-segment prefixes.
     ///
     /// # Panics
-    /// Panics if a positive index is out of range for the source.
-    pub fn over(source: impl Into<RankSource<'a>>, tau: f64, positives: &[usize]) -> Self {
-        let source = source.into();
-        let (cut, prefix) = match source {
-            RankSource::Flat(index) => {
-                let cut = index.cut_for(tau);
-                (cut, Prefix::Borrowed(&index.order()[..cut]))
-            }
-            RankSource::Segmented(seg) => {
-                let stitched = seg.stitched_prefix(tau);
-                (stitched.len(), Prefix::Owned(stitched))
-            }
+    /// Panics if a positive index is out of range for the corpus.
+    pub fn over(corpus: impl Into<Corpus<'a>>, tau: f64, positives: &[usize]) -> Self {
+        let corpus = corpus.into();
+        let prefix = match corpus {
+            Corpus::Flat(data) => Prefix::Borrowed(data.select(tau)),
+            Corpus::Segmented(seg) => Prefix::Owned(seg.stitched_prefix(tau)),
         };
         let extras = positives
             .iter()
             .copied()
-            .filter(|&i| source.rank_of(i) >= cut)
+            .filter(|&i| corpus.score(i) < tau)
             .collect();
         Self {
-            source,
-            cut,
+            corpus,
+            tau,
             prefix,
             extras,
-            kept_ranks: None,
+            kept: None,
         }
     }
 
     /// Narrows the view to the candidates the oracle labeled positive —
     /// the joint-query (JT) filtering step, streamed. `keep` aligns with
     /// this view's [`iter`](ResultView::iter) order: one flag per prefix
-    /// candidate (rank order), then one per extra. Kept prefix members
-    /// are recorded as rank positions — O(kept) memory, no owned copy of
-    /// the surviving record set — and dropped extras are removed in
-    /// place.
+    /// candidate (canonical order), then one per extra. Kept prefix
+    /// members are recorded as prefix positions — O(kept) memory, no
+    /// owned copy of the surviving record set — and dropped extras are
+    /// removed in place.
     ///
     /// # Panics
     /// Panics if `keep.len() != self.len()` or the view is already
     /// filtered.
     pub fn retain(mut self, keep: &[bool]) -> Self {
         assert!(
-            self.kept_ranks.is_none(),
+            self.kept.is_none(),
             "ResultView::retain: view is already filtered"
         );
         assert_eq!(
@@ -280,30 +231,30 @@ impl<'a> ResultView<'a> {
             self.len(),
             "ResultView::retain: one keep flag per result member"
         );
-        let (prefix_keep, extras_keep) = keep.split_at(self.cut);
-        let kept_ranks = prefix_keep
+        let (prefix_keep, extras_keep) = keep.split_at(self.threshold_len());
+        let kept = prefix_keep
             .iter()
             .enumerate()
             .filter(|&(_, &k)| k)
-            .map(|(rank, _)| rank as u32)
+            .map(|(pos, _)| pos as u32)
             .collect();
         let mut survives = extras_keep.iter();
         self.extras.retain(|_| *survives.next().expect("aligned"));
-        self.kept_ranks = Some(kept_ranks);
+        self.kept = Some(kept);
         self
     }
 
     /// True when the view carries a joint-query oracle filter
     /// ([`retain`](ResultView::retain)) on top of the threshold cut.
     pub fn is_filtered(&self) -> bool {
-        self.kept_ranks.is_some()
+        self.kept.is_some()
     }
 
     /// Number of returned records.
     pub fn len(&self) -> usize {
-        let prefix = match &self.kept_ranks {
+        let prefix = match &self.kept {
             Some(kept) => kept.len(),
-            None => self.cut,
+            None => self.threshold_len(),
         };
         prefix + self.extras.len()
     }
@@ -317,11 +268,11 @@ impl<'a> ResultView<'a> {
     /// **pre-filter** for filtered views, i.e. the candidate count the
     /// joint query handed to the oracle, not the survivors.
     pub fn threshold_len(&self) -> usize {
-        self.cut
+        self.prefix.as_slice().len()
     }
 
     /// The threshold set as the rank-prefix slice (record indices in
-    /// canonical rank order) — borrowed zero-copy from flat sources,
+    /// canonical order) — borrowed zero-copy from flat corpora,
     /// stitched once at construction for segmented ones. For filtered
     /// views this is still the **pre-filter** candidate prefix; the
     /// surviving members are what [`iter`](ResultView::iter) walks.
@@ -334,22 +285,30 @@ impl<'a> ResultView<'a> {
         &self.extras
     }
 
-    /// Membership test: one O(1) rank comparison for the prefix (plus an
-    /// O(log kept) search when filtered), an O(log e) binary search over
-    /// the (small) extras tail.
+    /// Membership test: a score comparison against `τ` decides between
+    /// the prefix and the (small) extras tail, which is binary-searched.
+    /// A filtered view additionally finds the record's prefix position by
+    /// binary search on the packed canonical key, then searches the kept
+    /// positions — O(log k) in all.
     pub fn contains(&self, index: usize) -> bool {
-        if index >= self.source.len() {
+        if index >= self.corpus.len() {
             return false;
         }
-        let rank = self.source.rank_of(index);
-        if rank < self.cut {
-            match &self.kept_ranks {
-                // Ascending by construction (built in rank order).
-                Some(kept) => kept.binary_search(&(rank as u32)).is_ok(),
-                None => true,
+        let score = self.corpus.score(index);
+        if score < self.tau {
+            return self.extras.binary_search(&index).is_ok();
+        }
+        match &self.kept {
+            Some(kept) => {
+                let key = rank::key(score, index as u32);
+                let pos = self
+                    .prefix
+                    .as_slice()
+                    .partition_point(|&j| rank::key(self.corpus.score(j as usize), j) < key);
+                // Ascending by construction (built in prefix order).
+                kept.binary_search(&(pos as u32)).is_ok()
             }
-        } else {
-            self.extras.binary_search(&index).is_ok()
+            None => true,
         }
     }
 
@@ -359,8 +318,8 @@ impl<'a> ResultView<'a> {
     /// hold.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         let prefix = self.prefix.as_slice();
-        let walk: Box<dyn Iterator<Item = usize> + '_> = match &self.kept_ranks {
-            Some(kept) => Box::new(kept.iter().map(move |&r| prefix[r as usize] as usize)),
+        let walk: Box<dyn Iterator<Item = usize> + '_> = match &self.kept {
+            Some(kept) => Box::new(kept.iter().map(move |&p| prefix[p as usize] as usize)),
             None => Box::new(prefix.iter().map(|&i| i as usize)),
         };
         walk.chain(self.extras.iter().copied())
@@ -379,6 +338,7 @@ mod tests {
     use super::*;
     use crate::data::ScoredDataset;
     use crate::oracle::CachedOracle;
+    use crate::segment::SegmentedDataset;
     use crate::session::{SelectorKind, SupgSession};
 
     fn separable(n: usize) -> (ScoredDataset, Vec<bool>) {
@@ -446,9 +406,8 @@ mod tests {
     fn retain_filters_prefix_and_extras_in_iter_order() {
         // 10 records, scores ascending with index ⇒ rank order is 9,8,…,0.
         let data = ScoredDataset::new((0..10).map(|i| i as f64 / 10.0).collect()).unwrap();
-        let index = data.rank_index();
         // τ = 0.7 ⇒ prefix = records 9,8,7; extras = positives below τ.
-        let view = ResultView::over(index, 0.7, &[2, 4]);
+        let view = ResultView::over(&data, 0.7, &[2, 4]);
         assert_eq!(view.iter().collect::<Vec<_>>(), vec![9, 8, 7, 2, 4]);
         assert!(!view.is_filtered());
 
@@ -499,7 +458,7 @@ mod tests {
         let seg = SegmentedDataset::new(scores, 5).unwrap();
         let positives = [1usize, 4, 9, 33, 60];
         for tau in [0.0, 0.25, 0.5, 0.7, 0.95, 1.0] {
-            let flat = ResultView::over(data.rank_index(), tau, &positives);
+            let flat = ResultView::over(&data, tau, &positives);
             let segd = ResultView::over(&seg, tau, &positives);
             assert_eq!(flat.threshold_len(), segd.threshold_len(), "tau={tau}");
             assert_eq!(flat.tau_prefix(), segd.tau_prefix(), "tau={tau}");
@@ -520,7 +479,7 @@ mod tests {
     #[should_panic(expected = "one keep flag per result member")]
     fn retain_rejects_misaligned_keep_flags() {
         let data = ScoredDataset::new((0..4).map(|i| i as f64 / 4.0).collect()).unwrap();
-        let view = ResultView::over(data.rank_index(), 0.5, &[]);
+        let view = ResultView::over(&data, 0.5, &[]);
         let _ = view.retain(&[true]);
     }
 

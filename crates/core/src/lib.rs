@@ -53,8 +53,8 @@
 //! * [`data`] — [`ScoredDataset`]: proxy scores plus the lazily built
 //!   global [`RankIndex`] the algorithms and metrics share.
 //! * [`rank`] — the [`RankIndex`] itself: the descending-score
-//!   permutation, its inverse, and the sorted view; O(log n + k) set
-//!   materialization and the parallel chunked-sort construction.
+//!   permutation and the sorted view; O(log n + k) set materialization
+//!   and the parallel chunked-sort construction.
 //! * [`segment`] — [`SegmentedDataset`]: fixed-size segments, each
 //!   owning its own rank index, for corpora too large to index as one
 //!   block; plus [`Corpus`], the flat-or-segmented view the algorithms
@@ -117,13 +117,13 @@
 //! keep it that way:
 //!
 //! **The rank index.** Every dataset carries one global [`RankIndex`] —
-//! the descending-score permutation (ties by ascending record index), its
-//! inverse rank array, and the sorted score view — built once, lazily or
-//! eagerly ([`PreparedDataset::prepare`](prepared::PreparedDataset::prepare)).
+//! the descending-score permutation (ties by ascending record index) and
+//! the sorted score view — built once, lazily or eagerly
+//! ([`PreparedDataset::prepare`](prepared::PreparedDataset::prepare)).
 //! Every threshold set `{x : A(x) ≥ τ}` is a *prefix* of that
 //! permutation, so warm set materialization is a binary search plus a
 //! slice copy (O(log n + k), no per-query sort or dedup), membership is
-//! one O(1) rank comparison, and the JT pipeline enumerates its
+//! one score comparison against `τ`, and the JT pipeline enumerates its
 //! exhaustive-filter candidates as a rank range instead of a predicate
 //! pass. Query results come back in canonical rank order (best
 //! candidates first). The rank path is pinned **bit-identical** to a
@@ -210,8 +210,8 @@
 //! (checked empirically in `tests/guarantees.rs`). Finally,
 //! [`SupgSession::run_view`](session::SupgSession::run_view) returns the
 //! answer as a borrowed [`ResultView`] — the threshold set stays a
-//! zero-copy rank-prefix slice with O(1) membership tests, and the owned
-//! [`SelectionResult`] materialization is deferred until
+//! zero-copy rank-prefix slice, membership is a score comparison, and
+//! the owned [`SelectionResult`] materialization is deferred until
 //! [`ViewOutcome::into_owned`](session::ViewOutcome) actually needs it.
 //!
 //! ## Serving under concurrency
@@ -261,9 +261,8 @@
 //!   there is no final merge pass over n records.
 //! * **Threshold search as a k-way merge.** `{x : A(x) ≥ τ}` is found
 //!   per segment by binary search and stitched across segment heads in
-//!   canonical global rank order
-//!   ([`SegmentedDataset::stitched_prefix`]); membership stays O(log
-//!   segment) via the owning segment's inverse rank.
+//!   canonical order ([`SegmentedDataset::stitched_prefix`]); membership
+//!   is a score comparison against `τ`, with no rank lookup.
 //! * **Layout is unobservable.** A session over a segmented corpus
 //!   ([`SupgSession::over`](session::SupgSession::over) with a
 //!   `&SegmentedDataset`) returns a [`QueryOutcome`] **bit-identical** to the flat session on
@@ -279,7 +278,7 @@
 //! directly into segment-aligned chunks for
 //! [`SegmentedDataset::from_chunks`], so the contiguous column is never
 //! materialized. Every accessor is layout-blind — [`Corpus`],
-//! `RankSource` and the per-record [`WeightArtifacts`] accessors serve
+//! [`ResultView`] and the per-record [`WeightArtifacts`] accessors serve
 //! both layouts, so none panics on a valid segmented corpus.
 //!
 //! ## Robustness: fault injection and retries

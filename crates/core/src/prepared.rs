@@ -1015,7 +1015,7 @@ impl<'a> DataView<'a> {
     }
 
     /// The corpus under view. (`Corpus` is `Copy` and serves scores,
-    /// global ranks and top-k identically for flat and segmented
+    /// threshold counts and top-k identically for flat and segmented
     /// layouts, so selectors are layout-blind.)
     pub fn data(&self) -> Corpus<'a> {
         self.corpus
@@ -1026,14 +1026,11 @@ impl<'a> DataView<'a> {
         self.prepared.is_some()
     }
 
-    /// The rank structure query results are served from, for either
-    /// layout — what [`ResultView::over`](crate::executor::ResultView)
-    /// consumes.
-    pub fn rank_source(&self) -> crate::executor::RankSource<'a> {
-        match self.corpus {
-            Corpus::Flat(data) => crate::executor::RankSource::Flat(data.rank_index()),
-            Corpus::Segmented(seg) => crate::executor::RankSource::Segmented(seg),
-        }
+    /// The corpus query results are served from — equal to
+    /// [`data`](Self::data). Kept only because the `perfbench` harness
+    /// calls it; it can be removed together with that call.
+    pub fn rank_source(&self) -> Corpus<'a> {
+        self.corpus
     }
 
     /// The alias-backed sampling artifacts for a weight recipe: cache hit
@@ -1313,7 +1310,7 @@ mod tests {
         let b = p.artifacts(0.5, 0.1);
         assert!(Arc::ptr_eq(&a, &b), "same recipe must hit the cache");
         assert_eq!(p.cached_recipes(), 1);
-        // The corpus view serves global ranks.
+        // The corpus view serves the segmented layout.
         let corpus = p.corpus();
         assert_eq!(corpus.len(), 500);
         assert!(matches!(corpus, Corpus::Segmented(_)));

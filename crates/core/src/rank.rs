@@ -10,15 +10,21 @@
 //! `D(τ)` a *prefix* of a precomputed permutation, so materialization is
 //! a binary search for `τ` plus a slice copy — O(log n + k).
 //!
-//! Three arrays, all in **canonical rank order** (descending score, ties
-//! by ascending record index — a strict total order, so the layout is
+//! Two arrays, both in **canonical order** (descending score, ties by
+//! ascending record index — a strict total order, so the layout is
 //! unique and deterministic):
 //!
-//! * [`order`](RankIndex::order) — record indices by rank,
-//! * [`rank_of`](RankIndex::rank_of) — the inverse permutation
-//!   (`rank_of(order[r]) = r`), giving O(1) membership in any `D(τ)`,
-//! * [`sorted_scores`](RankIndex::sorted_scores) — the scores by rank,
-//!   kept separate so binary searches stay cache-friendly.
+//! * [`order`](RankIndex::order) — record indices in canonical order,
+//! * [`sorted_scores`](RankIndex::sorted_scores) — the scores in the same
+//!   order, kept separate so binary searches stay cache-friendly.
+//!
+//! Canonical order has exactly one definition: the ascending packed key
+//! `(!score_bits ∥ index)` built by the crate-private `rank::key`.
+//! Everything that orders records — this index, the segmented k-way
+//! stitch, oracle-sample assembly and result-view membership — compares
+//! these keys, so no inverse permutation is needed: a record is in
+//! `D(τ)` iff its score is `≥ τ`, and its position inside the prefix is
+//! a binary search on the key.
 //!
 //! ## Construction
 //!
@@ -39,11 +45,13 @@ use crate::runtime::{parallel_map, RuntimeConfig};
 
 use crate::runtime::{cpu_workers, map_chunks, MIN_PARALLEL_INPUT};
 
-/// Packs record `i` with its score into one sortable key: ascending key
-/// order ⟺ descending score, ties by ascending index. Score bits of a
-/// non-negative finite f64 order like the value; complementing them flips
-/// the direction. `-0.0` (which passes the `[0, 1]` range check) is
-/// normalized to `+0.0` so its sign bit cannot poison the key order.
+/// Packs record `i` with its score into one sortable key — the definition
+/// of canonical order: ascending key order ⟺ descending score, ties by
+/// ascending index. Score bits of a non-negative f64 order like the
+/// value; complementing them flips the direction. `-0.0` (which passes
+/// the `[0, 1]` range check) is normalized to `+0.0` so its sign bit
+/// cannot poison the key order. Negative and NaN scores have no place
+/// in this order; callers reject them first.
 #[inline]
 pub(crate) fn key(score: f64, i: u32) -> u128 {
     let bits = if score == 0.0 { 0 } else { score.to_bits() };
@@ -56,14 +64,12 @@ pub(crate) fn unpack(key: u128) -> (f64, u32) {
     (score, key as u32)
 }
 
-/// The descending-score permutation of a dataset, its inverse, and the
-/// sorted score view. See the [module docs](self).
+/// The descending-score permutation of a dataset and the sorted score
+/// view. See the [module docs](self).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankIndex {
     /// Record indices in canonical rank order.
     order: Vec<u32>,
-    /// Inverse permutation: `rank[record] = position in order`.
-    rank: Vec<u32>,
     /// Scores in canonical rank order.
     sorted: Vec<f64>,
 }
@@ -168,18 +174,12 @@ impl RankIndex {
         let n = keys.len();
         let mut order = Vec::with_capacity(n);
         let mut sorted = Vec::with_capacity(n);
-        let mut rank = vec![0u32; n];
-        for (r, &k) in keys.iter().enumerate() {
+        for &k in keys {
             let (score, i) = unpack(k);
             order.push(i);
             sorted.push(score);
-            rank[i as usize] = r as u32;
         }
-        Self {
-            order,
-            rank,
-            sorted,
-        }
+        Self { order, sorted }
     }
 
     /// Number of records.
@@ -200,11 +200,6 @@ impl RankIndex {
     /// Scores in canonical rank order.
     pub fn sorted_scores(&self) -> &[f64] {
         &self.sorted
-    }
-
-    /// The canonical rank of record `i` (0 = highest score).
-    pub fn rank_of(&self, i: usize) -> usize {
-        self.rank[i] as usize
     }
 
     /// Number of records with score ≥ `tau`, i.e. `|D(τ)|` — the length
@@ -231,23 +226,6 @@ impl RankIndex {
     /// [`materialize_linear`] (pinned by proptest).
     pub fn materialize(&self, tau: f64) -> Vec<usize> {
         self.select(tau).iter().map(|&i| i as usize).collect()
-    }
-
-    /// [`materialize`](Self::materialize) unioned with `extras` (ascending,
-    /// deduplicated record indices — a labeled-positive set): the rank
-    /// prefix first, then the extras that fall *below* the cut, so the
-    /// output is duplicate-free without any sort or dedup pass.
-    pub fn materialize_union(&self, tau: f64, extras: &[usize]) -> Vec<usize> {
-        let cut = self.cut_for(tau);
-        let mut out = Vec::with_capacity(cut + extras.len());
-        out.extend(self.order[..cut].iter().map(|&i| i as usize));
-        out.extend(
-            extras
-                .iter()
-                .copied()
-                .filter(|&i| self.rank[i] as usize >= cut),
-        );
-        out
     }
 }
 
@@ -299,9 +277,6 @@ mod tests {
         let idx = RankIndex::build_serial(&[0.5, 0.9, 0.5, 0.0, 0.9]);
         assert_eq!(idx.order(), &[1, 4, 0, 2, 3]);
         assert_eq!(idx.sorted_scores(), &[0.9, 0.9, 0.5, 0.5, 0.0]);
-        for (r, &i) in idx.order().iter().enumerate() {
-            assert_eq!(idx.rank_of(i as usize), r);
-        }
     }
 
     #[test]
@@ -364,17 +339,6 @@ mod tests {
                 "tau={tau}"
             );
         }
-    }
-
-    #[test]
-    fn materialize_union_appends_only_below_cut_extras() {
-        let idx = RankIndex::build_serial(&[0.1, 0.9, 0.5, 0.9, 0.0]);
-        // D(0.5) = ranks of records 1, 3, 2; extras 3 (already in) and 4.
-        assert_eq!(idx.materialize_union(0.5, &[3, 4]), vec![1, 3, 2, 4]);
-        // τ selecting nothing: the extras alone.
-        assert_eq!(idx.materialize_union(2.0, &[0, 4]), vec![0, 4]);
-        // τ = 0 selects everything; extras all duplicate.
-        assert_eq!(idx.materialize_union(0.0, &[0, 4]).len(), 5);
     }
 
     #[test]

@@ -6,6 +6,7 @@ use supg_stats::{PairSketch, SampleSketch};
 use crate::error::SupgError;
 use crate::oracle::{BatchOracle, Oracle};
 use crate::prepared::WeightArtifacts;
+use crate::rank;
 use crate::segment::Corpus;
 
 /// A sample of records drawn for oracle labeling, with proxy scores, labels
@@ -35,17 +36,15 @@ use crate::segment::Corpus;
 /// they are bit-identical to a naive rescan of the same order — the parity
 /// contract checked against [`crate::selectors::reference`].
 ///
-/// [`label`](OracleSample::label) orders the sample by **reusing the
-/// dataset's global ranks** ([`crate::rank::RankIndex`]): the sort key is
-/// the integer pair `(global rank, draw position)` instead of a float
-/// comparator over re-read scores — cheaper, and a strict total order, so
-/// the layout is deterministic (repeat draws of one record keep draw
-/// order; distinct records tied on score order by record index, matching
-/// the dataset's canonical tie-break). [`from_parts`](OracleSample::from_parts)
-/// — the dataset-free constructor used by tests and sample concatenation —
-/// orders by a stable descending-score sort instead (ties across distinct
-/// records keep draw order); both are valid canonical orders, internally
-/// consistent with every derived quantity.
+/// The canonical order is the dataset's own: ascending packed key
+/// `(rank::key(score, index) << 32) | draw position` — descending score,
+/// distinct records tied on score by ascending record index (the
+/// [`RankIndex`](crate::rank::RankIndex) tie-break), and repeat draws of
+/// one record by draw position. It is a strict total order over integer
+/// keys, so the layout is deterministic and independent of how the
+/// sample was built: [`label`](OracleSample::label) and
+/// [`from_parts`](OracleSample::from_parts) produce equal samples from
+/// equal columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OracleSample {
     indices: Vec<usize>,
@@ -76,9 +75,10 @@ pub struct OracleSample {
 
 impl OracleSample {
     /// Labels `indices` through `oracle` as one batched request and
-    /// assembles the sample. The oracle chunks the request per its
-    /// configured [`RuntimeConfig`](crate::runtime::RuntimeConfig) and may
-    /// label cache misses on the [`crate::runtime`] worker pool.
+    /// assembles the sample with [`from_parts`](OracleSample::from_parts).
+    /// The oracle chunks the request per its configured
+    /// [`RuntimeConfig`](crate::runtime::RuntimeConfig) and may label cache
+    /// misses on the [`crate::runtime`] worker pool.
     ///
     /// `reweight` maps a *position in `indices`* to the importance factor of
     /// the drawn record (uniform sampling passes `|_| 1.0`).
@@ -89,40 +89,23 @@ impl OracleSample {
         data: impl Into<Corpus<'d>>,
         indices: Vec<usize>,
         oracle: &mut dyn Oracle,
-        mut reweight: impl FnMut(usize) -> f64,
+        reweight: impl FnMut(usize) -> f64,
     ) -> Result<Self, SupgError> {
         let corpus = data.into();
         let labels = oracle.label_batch(&indices)?;
-        let mut scores = Vec::with_capacity(indices.len());
-        let mut reweights = Vec::with_capacity(indices.len());
-        for (pos, &idx) in indices.iter().enumerate() {
-            scores.push(corpus.score(idx));
-            reweights.push(reweight(pos));
-        }
-        // Canonical order from the corpus's global ranks: sort the packed
-        // integer keys (rank, draw position) instead of re-comparing
-        // scores — `sort_unstable` on `u64` with no indirection, and a
-        // strict total order, so the layout is deterministic. Flat and
-        // segmented corpora report the same global ranks, so the order is
-        // layout-independent.
-        let mut keys: Vec<u64> = indices
-            .iter()
-            .enumerate()
-            .map(|(pos, &idx)| ((corpus.rank_of(idx) as u64) << 32) | pos as u64)
-            .collect();
-        keys.sort_unstable();
-        let order: Vec<u32> = keys.into_iter().map(|k| k as u32).collect();
-        Ok(Self::assemble(indices, scores, labels, reweights, order))
+        let scores = indices.iter().map(|&i| corpus.score(i)).collect();
+        let reweights = (0..indices.len()).map(reweight).collect();
+        Ok(Self::from_parts(indices, scores, labels, reweights))
     }
 
-    /// Assembles a sample from pre-labeled parts (used by tests and by the
-    /// two-stage estimator, which reuses stage-1 labels), building the
-    /// canonical sweep index: one O(s log s) stable sort plus O(s) prefix
-    /// accumulation. (The dataset-aware [`label`](OracleSample::label)
-    /// path derives the order from global ranks instead.)
+    /// Assembles a sample from labeled columns, building the canonical
+    /// sweep index: one O(s log s) sort of packed integer keys (see the
+    /// [type docs](OracleSample)) plus O(s) prefix accumulation.
     ///
     /// # Panics
-    /// Panics when column lengths disagree.
+    /// Panics when column lengths disagree, on a negative or NaN score
+    /// (the packed key orders only non-negative values), or on a record
+    /// index above `u32::MAX`.
     pub fn from_parts(
         indices: Vec<usize>,
         scores: Vec<f64>,
@@ -130,36 +113,29 @@ impl OracleSample {
         reweights: Vec<f64>,
     ) -> Self {
         let s = indices.len();
-        // Canonical order: stable descending-score sort, so tied scores
-        // keep their draw order and the layout is deterministic.
-        let mut order: Vec<u32> = (0..s as u32).collect();
-        order.sort_by(|&a, &b| {
-            scores[b as usize]
-                .partial_cmp(&scores[a as usize])
-                .expect("finite scores")
-        });
-        Self::assemble(indices, scores, labels, reweights, order)
-    }
-
-    /// Shared assembly behind [`label`](OracleSample::label) and
-    /// [`from_parts`](OracleSample::from_parts): takes the canonical order
-    /// as a permutation of sample positions and accumulates every derived
-    /// quantity left-to-right over it.
-    fn assemble(
-        indices: Vec<usize>,
-        scores: Vec<f64>,
-        labels: Vec<bool>,
-        reweights: Vec<f64>,
-        order: Vec<u32>,
-    ) -> Self {
         assert!(
-            indices.len() == scores.len()
-                && indices.len() == labels.len()
-                && indices.len() == reweights.len()
-                && indices.len() == order.len(),
+            s == scores.len() && s == labels.len() && s == reweights.len(),
             "OracleSample: column length mismatch"
         );
-        let s = indices.len();
+        assert!(
+            s <= u32::MAX as usize,
+            "OracleSample: more than u32::MAX draws"
+        );
+        let mut keys: Vec<u128> = indices
+            .iter()
+            .zip(&scores)
+            .enumerate()
+            .map(|(pos, (&idx, &score))| {
+                assert!(
+                    score >= 0.0,
+                    "OracleSample: score {score} of record {idx} is negative or NaN"
+                );
+                let idx = u32::try_from(idx).expect("OracleSample: record index above u32::MAX");
+                (rank::key(score, idx) << 32) | pos as u128
+            })
+            .collect();
+        keys.sort_unstable();
+        let order: Vec<u32> = keys.into_iter().map(|k| k as u32).collect();
         let sorted_scores: Vec<f64> = order.iter().map(|&r| scores[r as usize]).collect();
 
         let mut y_canon = Vec::with_capacity(s);
@@ -512,20 +488,35 @@ mod tests {
     }
 
     #[test]
-    fn canonical_order_is_stable_descending() {
-        // Tied scores keep draw order in the canonical layout.
+    fn canonical_order_breaks_ties_by_index_then_draw() {
+        // Tied distinct records order by record index, not draw order;
+        // repeat draws of one record keep draw order.
         let s = OracleSample::from_parts(
-            vec![10, 11, 12, 13],
-            vec![0.5, 0.9, 0.5, 0.9],
-            vec![true, true, false, false],
-            vec![1.0; 4],
+            vec![13, 12, 11, 10, 12],
+            vec![0.5, 0.9, 0.5, 0.9, 0.9],
+            vec![true, true, false, false, true],
+            vec![1.0, 1.0, 1.0, 1.0, 2.0],
         );
-        assert_eq!(s.sorted_scores(), &[0.9, 0.9, 0.5, 0.5]);
-        // Ranks: positions 1, 3 (tied at 0.9, draw order), then 0, 2.
-        assert_eq!(s.pair_at(0), (1.0, 1.0)); // position 1, positive
-        assert_eq!(s.pair_at(1), (0.0, 1.0)); // position 3, negative
-        assert_eq!(s.pair_at(2), (1.0, 1.0)); // position 0, positive
-        assert_eq!(s.pair_at(3), (0.0, 1.0)); // position 2, negative
+        assert_eq!(s.sorted_scores(), &[0.9, 0.9, 0.9, 0.5, 0.5]);
+        // Canonical positions: 3 (record 10), 1 and 4 (record 12, draw
+        // order), then 2 (record 11), 0 (record 13).
+        assert_eq!(s.pair_at(0), (0.0, 1.0));
+        assert_eq!(s.pair_at(1), (1.0, 1.0));
+        assert_eq!(s.pair_at(2), (2.0, 2.0));
+        assert_eq!(s.pair_at(3), (0.0, 1.0));
+        assert_eq!(s.pair_at(4), (1.0, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "negative or NaN")]
+    fn from_parts_rejects_negative_scores() {
+        let _ = OracleSample::from_parts(vec![0], vec![-0.5], vec![true], vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative or NaN")]
+    fn from_parts_rejects_nan_scores() {
+        let _ = OracleSample::from_parts(vec![0], vec![f64::NAN], vec![true], vec![1.0]);
     }
 
     #[test]

@@ -15,14 +15,13 @@
 //! * `|D(τ)|` ([`count_at_least`](SegmentedDataset::count_at_least)) —
 //!   one binary search per segment, summed.
 //! * Threshold-set materialization
-//!   ([`materialize`](SegmentedDataset::materialize),
-//!   [`materialize_union`](SegmentedDataset::materialize_union)) — a
-//!   k-way merge over the segment rank heads: each segment contributes
-//!   its `D(τ)` rank *prefix*, and a binary heap stitches the prefixes in
-//!   canonical order by the same packed `(score desc, index asc)` keys
-//!   the flat sort uses.
-//! * Global ranks ([`rank_of`](SegmentedDataset::rank_of)) — per-segment
-//!   counting against the record's key, summed.
+//!   ([`stitched_prefix`](SegmentedDataset::stitched_prefix),
+//!   [`materialize`](SegmentedDataset::materialize)) — a k-way merge
+//!   over the segment rank heads: each segment contributes its `D(τ)`
+//!   rank *prefix*, and a binary heap stitches the prefixes in canonical
+//!   order by the same packed `(score desc, index asc)` keys the flat
+//!   sort uses.
+//! * Membership — a score comparison against `τ`, with no rank at all.
 //! * Order statistics ([`kth_highest_score`](SegmentedDataset::kth_highest_score),
 //!   [`top_k`](SegmentedDataset::top_k)) — a binary search over the f64
 //!   bit space driven by the exact integer `count_at_least`.
@@ -220,37 +219,6 @@ impl SegmentedDataset {
             .sum()
     }
 
-    /// The canonical global rank of record `i` (0 = highest score):
-    /// records strictly ahead of `i` in `(score desc, global index asc)`
-    /// order, counted per segment against `i`'s key. Bit-identical to the
-    /// flat [`RankIndex::rank_of`](crate::rank::RankIndex::rank_of).
-    pub fn rank_of(&self, i: usize) -> usize {
-        let score = self.score(i);
-        let mut ahead = 0usize;
-        for (c, seg) in self.segments.iter().enumerate() {
-            let idx = seg.rank_index();
-            let sorted = idx.sorted_scores();
-            // Records with a strictly higher score all precede i.
-            let gt = sorted.partition_point(|&s| s > score);
-            ahead += gt;
-            // Tied records precede i iff their global index is smaller.
-            // Within the tie run the segment's order is ascending local
-            // index, so one more binary search counts them.
-            let tie_end = sorted.partition_point(|&s| s >= score);
-            let base = self.offsets[c];
-            if gt < tie_end && base < i {
-                let local_bound = i - base;
-                let ties = &idx.order()[gt..tie_end];
-                ahead += ties.partition_point(|&local| (local as usize) < local_bound);
-            }
-        }
-        // i itself is in its own tie run but `< local_bound` excludes it
-        // only when counting its own segment; for i's segment
-        // local i satisfies local < i - base ⟺ false, so it is never
-        // self-counted.
-        ahead
-    }
-
     /// The `k`-th highest score (1-indexed; `k` clamped to `[1, n]`),
     /// found **without any global sorted array**: a binary search over
     /// the f64 bit space (scores are validated into `[0, 1]`, where bit
@@ -332,22 +300,6 @@ impl SegmentedDataset {
             .collect()
     }
 
-    /// [`materialize`](Self::materialize) unioned with `extras`
-    /// (ascending, deduplicated record indices — a labeled-positive set):
-    /// the stitched prefix first, then the extras below the cut
-    /// (equivalently: score < τ), duplicate-free with no sort or dedup
-    /// pass — the segmented counterpart of
-    /// [`RankIndex::materialize_union`](crate::rank::RankIndex::materialize_union).
-    pub fn materialize_union(&self, tau: f64, extras: &[usize]) -> Vec<usize> {
-        let prefix = self.stitched_prefix(tau);
-        let mut out = Vec::with_capacity(prefix.len() + extras.len());
-        out.extend(prefix.into_iter().map(|i| i as usize));
-        // A record is in D(τ) ⟺ its score ≥ τ ⟺ its rank < |D(τ)| — the
-        // score test avoids the per-extra rank computation.
-        out.extend(extras.iter().copied().filter(|&i| self.score(i) < tau));
-        out
-    }
-
     /// The top-`k` record indices by score (`k` clamped to `[1, n]`),
     /// including any records tied with the `k`-th score — exactly `D(τ)`
     /// for `τ` = the `k`-th highest score, in canonical order.
@@ -403,14 +355,6 @@ impl Corpus<'_> {
         }
     }
 
-    /// Canonical global rank of record `i` (0 = highest score).
-    pub fn rank_of(&self, i: usize) -> usize {
-        match self {
-            Corpus::Flat(d) => d.rank_of(i),
-            Corpus::Segmented(d) => d.rank_of(i),
-        }
-    }
-
     /// Number of records with `A(x) ≥ tau`, i.e. `|D(τ)|`.
     pub fn count_at_least(&self, tau: f64) -> usize {
         match self {
@@ -440,6 +384,7 @@ impl Corpus<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::ResultView;
 
     fn tied_scores(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i * 7) % 10) as f64 / 10.0).collect()
@@ -504,11 +449,6 @@ mod tests {
             let (flat, seg) = flat_and_segmented(n, segment_size);
             for i in 0..n {
                 assert_eq!(seg.score(i), flat.score(i), "score {i}");
-                assert_eq!(
-                    seg.rank_of(i),
-                    flat.rank_of(i),
-                    "rank_of({i}) seg_size={segment_size}"
-                );
             }
             for tau in [-0.5, 0.0, 0.15, 0.3, 0.7, 0.9, 1.0, 1.5] {
                 assert_eq!(
@@ -537,9 +477,11 @@ mod tests {
             }
             let extras = [0, 3, 250, 500];
             for tau in [0.0, 0.3, 0.9, 1.5] {
+                let mut reference = rank::materialize_linear(flat.scores(), tau);
+                reference.extend(extras.iter().filter(|&&i| flat.score(i) < tau));
                 assert_eq!(
-                    seg.materialize_union(tau, &extras),
-                    flat.rank_index().materialize_union(tau, &extras),
+                    ResultView::over(&seg, tau, &extras).to_result().indices(),
+                    reference,
                     "union tau={tau} seg_size={segment_size}"
                 );
             }
@@ -572,7 +514,6 @@ mod tests {
         assert!(!fc.is_empty());
         for i in [0, 7, 150, 199] {
             assert_eq!(fc.score(i), sc.score(i));
-            assert_eq!(fc.rank_of(i), sc.rank_of(i));
         }
         assert_eq!(fc.count_at_least(0.5), sc.count_at_least(0.5));
         assert_eq!(
@@ -586,9 +527,7 @@ mod tests {
     fn negative_zero_scores_rank_like_positive_zero() {
         let flat = ScoredDataset::new(vec![-0.0, 0.5, 0.0]).unwrap();
         let seg = SegmentedDataset::new(vec![-0.0, 0.5, 0.0], 2).unwrap();
-        for i in 0..3 {
-            assert_eq!(seg.rank_of(i), flat.rank_of(i), "rank {i}");
-        }
+        assert_eq!(seg.materialize(0.0), flat.rank_index().materialize(0.0));
         assert_eq!(seg.count_at_least(0.0), 3);
         assert_eq!(seg.kth_highest_score(2).to_bits(), 0.0f64.to_bits());
     }

@@ -860,8 +860,7 @@ enum Mode {
 /// threshold set `R2 = D(τ)` is a binary search for the cut plus a
 /// zero-copy rank-prefix slice; only the (small) below-cut labeled
 /// positives are owned. Materializing the owned [`SelectionResult`]
-/// (`ViewOutcome::into_owned`) performs exactly the
-/// [`RankIndex::materialize_union`](crate::rank::RankIndex::materialize_union)
+/// (`ViewOutcome::into_owned`) performs exactly the prefix-plus-extras
 /// copy the non-streaming pipeline always did.
 fn exec_single_view<'v>(
     view: DataView<'v>,
@@ -875,16 +874,16 @@ fn exec_single_view<'v>(
     let retry_before = oracle.retry_stats();
     let labeling_before = labeling_clock::total();
     let n_records = view.data().len();
-    // The rank source is borrowed *before* the probe shortens the view's
+    // The corpus is borrowed *before* the probe shortens the view's
     // lifetime — the returned result view must outlive the local probe.
-    let ranks = view.rank_source();
+    let corpus = view.data();
     let probe = QueryProbe::new();
     let estimate = selector.estimate(view.with_probe(&probe), query, oracle, rng)?;
 
-    // R = R2 ∪ R1 off the rank structure: flat corpora borrow the prefix
+    // R = R2 ∪ R1 off the corpus: flat corpora borrow the prefix
     // from the global index with no copy; segmented corpora stitch it
     // once from the per-segment indexes.
-    let result = ResultView::over(ranks, estimate.tau, estimate.sample.positive_indices());
+    let result = ResultView::over(corpus, estimate.tau, estimate.sample.positive_indices());
 
     let stage_calls = oracle.calls_used() - calls_before;
     let retry = oracle.retry_stats().since(retry_before);
@@ -965,7 +964,7 @@ fn exec_joint_stages<'v>(
     // borrowed view over it, so enumeration for the label batch is the
     // *only* copy — and it is dropped again right here; the surviving
     // record set is never materialized at all
-    // ([`ResultView::retain`] keeps rank positions over the borrowed
+    // ([`ResultView::retain`] keeps prefix positions over the borrowed
     // index). Already-labeled records are cache hits and cost nothing
     // extra; the filter is one batched request, so a parallel oracle
     // labels the candidate set on its worker pool.

@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use supg_core::rank::{materialize_linear, RankIndex};
-use supg_core::{CachedOracle, RuntimeConfig, ScoredDataset, SupgSession};
+use supg_core::{CachedOracle, ResultView, RuntimeConfig, ScoredDataset, SupgSession};
 
 /// Quantized scores (÷ granularity) so every dataset carries heavy ties.
 fn tied_dataset() -> impl Strategy<Value = Vec<f64>> {
@@ -60,14 +60,14 @@ proptest! {
         scores in tied_dataset(),
         extra_picks in prop::collection::vec(0usize..10_000, 0..20),
     ) {
-        let index = RankIndex::build_serial(&scores);
+        let data = ScoredDataset::new(scores.clone()).unwrap();
         // Extras as a sorted, deduplicated index set (the labeled-positive
         // shape the session feeds in).
         let mut extras: Vec<usize> = extra_picks.iter().map(|p| p % scores.len()).collect();
         extras.sort_unstable();
         extras.dedup();
         for tau in taus_for(&scores) {
-            let fused = index.materialize_union(tau, &extras);
+            let fused = ResultView::over(&data, tau, &extras).to_result().indices().to_vec();
             // Reference: linear threshold set, then the extras the linear
             // set does not already contain.
             let mut reference = materialize_linear(&scores, tau);

@@ -16,21 +16,26 @@
 //! 3. **Alias-build determinism.** The chunk-partitioned Vose feed build
 //!    must produce bit-identical tables at every parallelism and explicit
 //!    chunk count — mirroring `rank_parity.rs`'s build-determinism cases.
-//! 4. **`ResultView` vs `SelectionResult`.** The borrowed view must agree
-//!    with the owned materialization — same order, membership, bounds and
-//!    duplicate-freedom — at thresholds on, between and outside the score
-//!    boundaries, and `run_view` must reproduce `run` bit-for-bit.
+//! 4. **`ResultView` vs the linear reference.** Flat, segmented and
+//!    `retain`-filtered views must agree with a linear-scan reference —
+//!    same order, membership, bounds and duplicate-freedom — at
+//!    thresholds on, between and outside the score boundaries, and
+//!    `run_view` must reproduce `run` bit-for-bit.
+//! 5. **One canonical sample order.** `OracleSample::label` and
+//!    `OracleSample::from_parts` order a sample identically — by the
+//!    packed `(score desc, index asc, draw position asc)` key — on flat
+//!    and segmented corpora alike.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use supg_core::rank::RankIndex;
+use supg_core::rank::materialize_linear;
 use supg_core::selectors::SelectorConfig;
 use supg_core::session::SessionData;
 use supg_core::{
-    CachedOracle, Planner, PreparedDataset, QueryOutcome, RecipeState, ResultView, RuntimeConfig,
-    SamplerStrategy, ScoredDataset, SegmentedDataset, SelectionResult, SelectorKind, SupgSession,
-    WeightArtifacts,
+    CachedOracle, OracleSample, Planner, PreparedDataset, QueryOutcome, RecipeState, ResultView,
+    RuntimeConfig, SamplerStrategy, ScoredDataset, SegmentedDataset, SelectionResult, SelectorKind,
+    SupgSession, WeightArtifacts,
 };
 
 fn rare(n: usize, seed: u64) -> (ScoredDataset, Vec<bool>) {
@@ -451,47 +456,120 @@ fn taus_for(scores: &[f64]) -> Vec<f64> {
     taus
 }
 
+/// Checks one view against its linear reference (result order): order,
+/// length, membership of every record plus probes past the end, and the
+/// owned materialization.
+fn check_view(view: &ResultView<'_>, reference: &[usize], n: usize) {
+    let from_view: Vec<usize> = view.iter().collect();
+    assert_eq!(from_view, reference);
+    assert_eq!(view.len(), reference.len());
+    assert_eq!(view.is_empty(), reference.is_empty());
+    let mut member = vec![false; n + 3];
+    for &i in reference {
+        member[i] = true;
+    }
+    for (probe, &expect) in member.iter().enumerate() {
+        assert_eq!(view.contains(probe), expect, "probe {probe}");
+    }
+    // `from_ranked` cross-checks duplicate-freedom in debug builds.
+    assert_eq!(
+        view.to_result(),
+        SelectionResult::from_ranked(reference.to_vec())
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    // Flat, segmented (sizes 1 and 7) and `retain`-filtered views all
+    // agree with the linear reference: `materialize_linear`, then the
+    // extras with score `< τ`, then (filtered) the keep mask.
     #[test]
     fn view_agrees_with_owned_result_everywhere(
         scores in tied_dataset(),
         extra_picks in prop::collection::vec(0usize..10_000, 0..20),
+        keep_bits in prop::collection::vec(any::<bool>(), 1..64),
     ) {
-        let index = RankIndex::build_serial(&scores);
-        let mut extras: Vec<usize> = extra_picks.iter().map(|p| p % scores.len()).collect();
+        let n = scores.len();
+        let flat = ScoredDataset::new(scores.clone()).unwrap();
+        let seg1 = SegmentedDataset::new(scores.clone(), 1).unwrap();
+        let seg7 = SegmentedDataset::new(scores.clone(), 7).unwrap();
+        let mut extras: Vec<usize> = extra_picks.iter().map(|p| p % n).collect();
         extras.sort_unstable();
         extras.dedup();
         for tau in taus_for(&scores) {
-            let view = ResultView::over(&index, tau, &extras);
-            let owned = SelectionResult::from_ranked(index.materialize_union(tau, &extras));
-
-            // Same order, same length, same split.
-            let from_view: Vec<usize> = view.iter().collect();
-            prop_assert_eq!(&from_view, &owned.indices().to_vec(), "tau={}", tau);
-            prop_assert_eq!(view.len(), owned.len());
-            prop_assert_eq!(view.is_empty(), owned.is_empty());
-            prop_assert_eq!(view.threshold_len(), index.cut_for(tau));
-            prop_assert_eq!(view.threshold_len() + view.extras().len(), view.len());
-
-            // In-bounds and duplicate-free.
-            let mut seen = from_view.clone();
-            seen.sort_unstable();
-            let before = seen.len();
-            seen.dedup();
-            prop_assert_eq!(seen.len(), before, "duplicates at tau={}", tau);
-            prop_assert!(from_view.iter().all(|&i| i < scores.len()));
-
-            // Membership parity, including absent indices.
-            for probe in 0..scores.len().min(16) {
-                prop_assert_eq!(view.contains(probe), owned.contains(probe), "probe {}", probe);
+            let mut reference = materialize_linear(&scores, tau);
+            let cut = reference.len();
+            reference.extend(extras.iter().filter(|&&i| scores[i] < tau));
+            let keep: Vec<bool> = (0..reference.len())
+                .map(|k| keep_bits[k % keep_bits.len()])
+                .collect();
+            let kept: Vec<usize> = reference
+                .iter()
+                .zip(&keep)
+                .filter(|&(_, &k)| k)
+                .map(|(&i, _)| i)
+                .collect();
+            let views = [
+                ResultView::over(&flat, tau, &extras),
+                ResultView::over(&seg1, tau, &extras),
+                ResultView::over(&seg7, tau, &extras),
+            ];
+            for view in views {
+                prop_assert_eq!(view.threshold_len(), cut, "tau={}", tau);
+                check_view(&view, &reference, n);
+                let filtered = view.retain(&keep);
+                prop_assert_eq!(filtered.threshold_len(), cut);
+                check_view(&filtered, &kept, n);
             }
-            prop_assert!(!view.contains(scores.len()), "out-of-range index");
-
-            // The deferred materialization is the owned result, bit for bit.
-            prop_assert_eq!(&view.to_result(), &owned);
         }
+    }
+}
+
+// --- One canonical sample order ---
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // `label` (flat or segmented corpus) and `from_parts` on the same
+    // columns build equal samples: one order, (score desc, index asc,
+    // draw position asc), with repeat draws and tied records drawn out
+    // of index order.
+    #[test]
+    fn label_and_from_parts_share_one_canonical_order(
+        scores in tied_dataset(),
+        picks in prop::collection::vec(0usize..10_000, 1..120),
+        weights in prop::collection::vec(1u32..8, 1..16),
+    ) {
+        let n = scores.len();
+        let flat = ScoredDataset::new(scores.clone()).unwrap();
+        let seg = SegmentedDataset::new(scores.clone(), 7).unwrap();
+        let labels: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+        let mut indices: Vec<usize> = picks.iter().map(|p| p % n).collect();
+        // Every draw again in reverse (repeats; any tied pair is now out
+        // of index order somewhere), then the first tied pair, high
+        // index first.
+        let reversed: Vec<usize> = indices.iter().rev().copied().collect();
+        indices.extend(reversed);
+        if let Some((lo, hi)) = (0..n)
+            .flat_map(|j| (0..j).map(move |i| (i, j)))
+            .find(|&(i, j)| scores[i] == scores[j])
+        {
+            indices.extend([hi, lo]);
+        }
+        let reweight = |pos: usize| f64::from(weights[pos % weights.len()]) / 2.0;
+        let parts = OracleSample::from_parts(
+            indices.clone(),
+            indices.iter().map(|&i| scores[i]).collect(),
+            indices.iter().map(|&i| labels[i]).collect(),
+            (0..indices.len()).map(reweight).collect(),
+        );
+        let mut oracle = CachedOracle::from_labels(labels.clone(), n);
+        let from_flat = OracleSample::label(&flat, indices.clone(), &mut oracle, reweight).unwrap();
+        prop_assert_eq!(&from_flat, &parts);
+        let mut oracle = CachedOracle::from_labels(labels.clone(), n);
+        let from_seg = OracleSample::label(&seg, indices.clone(), &mut oracle, reweight).unwrap();
+        prop_assert_eq!(&from_seg, &parts);
     }
 }
 

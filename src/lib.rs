@@ -139,8 +139,9 @@
 //! `Arc<PreparedDataset>` — and two run methods: `run` returns the owned
 //! result, and for huge answers `run_view` returns a borrowed
 //! [`core::ResultView`] — the threshold set stays a zero-copy slice of
-//! the rank index with O(1) membership, and the owned materialization
-//! is deferred until you call `into_owned()` (which is all `run` does).
+//! the rank index, membership is a score comparison against `τ`, and
+//! the owned materialization is deferred until you call `into_owned()`
+//! (which is all `run` does).
 //!
 //! ## Segmented datasets: 10⁸–10⁹-record corpora
 //!
@@ -151,8 +152,8 @@
 //! fixed-size segments that each own their rank index and their slice
 //! of the sampling artifacts — built fully in parallel with no final
 //! re-merge — while threshold sets are stitched across segment heads in
-//! canonical global rank order. Sessions run over it unchanged
-//! (`SupgSession::over(&segmented)`, or
+//! canonical order (descending score, ties by ascending record index).
+//! Sessions run over it unchanged (`SupgSession::over(&segmented)`, or
 //! `PreparedDataset::from_segmented` for the cached serving path), and
 //! the outcome is **bit-identical**
 //! to the flat layout at every segment size and parallelism under the
