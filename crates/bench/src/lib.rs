@@ -1,10 +1,13 @@
-//! Benchmark crate: Criterion suites live in `benches/`; this library
-//! holds the shared perf-measurement harness behind the
-//! `bench_export` binary, which records the repo's performance
-//! trajectory in `BENCH_selectors.json` at the workspace root.
+//! In-process regression gates for the properties the end-to-end
+//! benchmark (`perfbench/`) cannot see: fast paths against the
+//! reference implementations the tests also use, several concurrent
+//! clients, injected oracle faults, and planner cells with a slow
+//! oracle or a small corpus.
 //!
-//! The JSON numbers are machine-dependent, so cross-machine checks (CI)
-//! compare machine-*independent* ratios — e.g. the sweep-vs-naive
-//! threshold-search speedup — rather than absolute nanoseconds.
+//! [`perf`] measures them; the `bench_export --check` binary gates them
+//! against `BENCH_selectors.json` at the workspace root. The JSON
+//! numbers are machine-dependent, so every gate compares a
+//! machine-*independent* within-run ratio (e.g. the sweep-vs-naive
+//! threshold-search speedup) rather than absolute nanoseconds.
 
 pub mod perf;

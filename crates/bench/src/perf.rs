@@ -1,9 +1,12 @@
-//! Instant-based perf measurements and the `BENCH_selectors.json` schema.
+//! Instant-based in-process measurements, their regression gates and
+//! the `BENCH_selectors.json` schema.
 //!
-//! Kept separate from the Criterion suites so the exporter binary can run
-//! the exact workloads the acceptance criteria name — threshold search at
-//! `s = 10_000, step = 100`, repeated queries over a prepared 1M-record
-//! dataset — and serialize one flat, diffable JSON document.
+//! Each section measures a property the end-to-end benchmark
+//! (`perfbench`, one client, no faults) cannot see: a fast path against
+//! the reference implementation the tests also use, several concurrent
+//! clients, injected oracle faults, or planner cells with a slow oracle
+//! or a small corpus. [`BenchReport::gates`] lists the ratios
+//! `bench_export --check` holds against the committed baseline.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -27,14 +30,20 @@ use supg_serve::{QuerySpec, ServerConfig, SupgServer};
 use supg_stats::CiMethod;
 
 /// Median wall-clock nanoseconds of `f` over `iters` runs (≥ 1).
-pub fn median_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
-    let iters = iters.max(1);
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_nanos() as f64);
-    }
+fn median_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
+    median(
+        (0..iters.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                f();
+                start.elapsed().as_nanos() as f64
+            })
+            .collect(),
+    )
+}
+
+/// The upper median of a non-empty timing sample.
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
 }
@@ -42,7 +51,7 @@ pub fn median_ns<F: FnMut()>(iters: usize, mut f: F) -> f64 {
 /// The acceptance-criteria sample: `s` records with quantized scores,
 /// mixed labels and non-unit importance weights (the general case for the
 /// estimators).
-pub fn synthetic_sample(s: usize) -> OracleSample {
+fn synthetic_sample(s: usize) -> OracleSample {
     let indices: Vec<usize> = (0..s).collect();
     let scores: Vec<f64> = (0..s)
         .map(|i| ((i * 7919) % 10_000) as f64 / 10_000.0)
@@ -65,42 +74,6 @@ impl Comparison {
     /// `naive / sweep` — the machine-independent speedup ratio.
     pub fn speedup(&self) -> f64 {
         self.naive_ns / self.sweep_ns.max(1.0)
-    }
-}
-
-/// Repeated-query serving measurements over one dataset.
-#[derive(Debug, Clone, Copy)]
-pub struct ServingNumbers {
-    /// Dataset size.
-    pub n: usize,
-    /// Oracle budget per query.
-    pub budget: usize,
-    /// Queries per arm.
-    pub queries: usize,
-    /// Mean ns/query with a cold session (per-query O(n) setup).
-    pub cold_ns_per_query: f64,
-    /// Mean ns/query over a warmed [`PreparedDataset`].
-    pub prepared_ns_per_query: f64,
-    /// First prepared query (pays the one-time cache build).
-    pub prepared_first_query_ns: f64,
-    /// Wall ns for `queries` spread over `concurrency` threads sharing
-    /// one prepared dataset.
-    pub concurrent_wall_ns: f64,
-    /// Thread count of the concurrent arm.
-    pub concurrency: usize,
-}
-
-impl ServingNumbers {
-    /// `cold / prepared` per-query speedup.
-    pub fn speedup(&self) -> f64 {
-        self.cold_ns_per_query / self.prepared_ns_per_query.max(1.0)
-    }
-
-    /// Ratio of the mean prepared query to the first (cache-building)
-    /// one: ≪ 1 means per-query O(n) setup is gone and total time scales
-    /// sub-linearly in query count.
-    pub fn amortization(&self) -> f64 {
-        self.prepared_ns_per_query / self.prepared_first_query_ns.max(1.0)
     }
 }
 
@@ -221,21 +194,14 @@ impl MaterializationNumbers {
 
 /// Cold construction of the rank-index artifact, as the planner
 /// dispatches it: the serial packed-key build (the planner's serial
-/// floor) vs the planner-chosen chunk count, with the legacy comparator
-/// sort (the pre-rank-index `ScoredDataset::new` construction) retained
-/// as the historical reference.
+/// floor) vs the planner-chosen chunk count.
 #[derive(Debug, Clone, Copy)]
 pub struct ColdBuildNumbers {
-    /// Dataset size (production scale: the comparator baseline's random
-    /// score loads fall out of cache here, exactly as in a real corpus).
+    /// Dataset size.
     pub n: usize,
     /// The chunk count the planner resolved from the measured
     /// calibration (1 = it chose the serial floor).
     pub workers: usize,
-    /// Median ns of the legacy comparator construction: a `u32` index
-    /// sort driven by a float comparator over the score array, plus the
-    /// gathered sorted-score view.
-    pub legacy_ns: f64,
     /// Median ns of the serial packed-key build — the planner's floor.
     pub serial_ns: f64,
     /// Median ns of the planner-chosen build. When the calibration
@@ -250,60 +216,6 @@ impl ColdBuildNumbers {
     /// chunking faster.
     pub fn speedup(&self) -> f64 {
         self.serial_ns / self.parallel_ns.max(1.0)
-    }
-
-    /// `legacy comparator / planner-chosen` — the end-to-end win over
-    /// the pre-rank-index construction (packed keys plus any chunking).
-    pub fn legacy_speedup(&self) -> f64 {
-        self.legacy_ns / self.parallel_ns.max(1.0)
-    }
-}
-
-/// The cold-start serving path: weight/alias artifact construction
-/// (legacy serial Vose baseline vs the chunk-partitioned feed build) and
-/// the total cold one-shot query under each [`SamplerStrategy`].
-#[derive(Debug, Clone, Copy)]
-pub struct ColdPathNumbers {
-    /// Dataset size (the acceptance workload: n = 10⁶).
-    pub n: usize,
-    /// Worker-pool width requested for the parallel alias arm (clamped to
-    /// the machine's cores inside the build).
-    pub workers: usize,
-    /// Median ns of the legacy serial artifact build: the weight
-    /// construction plus the pre-cold-path alias construction — a
-    /// per-element validation + sum pass, separate normalize and scale
-    /// passes, a separate partition scan, then Vose (retained in-process
-    /// as [`legacy_alias_table`], like the legacy sort baseline of
-    /// `cold_build`) — the exact cold path every query paid before the
-    /// chunk-partitioned feeds and the moved acceptance array.
-    pub alias_serial_ns: f64,
-    /// Median ns of the flat alias `WeightArtifacts::build` at `workers` workers:
-    /// pooled `A(x)^p` transform, per-chunk normalize/scale/partition
-    /// feeds, and the serial Vose pairing that moves the residual array
-    /// into the acceptance role instead of allocating and filling a
-    /// fresh one.
-    pub alias_parallel_ns: f64,
-    /// Median ns of one complete cold one-shot query (budget 1000) under
-    /// `SamplerStrategy::Alias` — weight + alias build + draws +
-    /// estimation (rank index prebuilt; `cold_build` times that).
-    pub alias_cold_query_ns: f64,
-    /// Same cold one-shot query under `SamplerStrategy::Cdf` — the
-    /// prefix-sum build replaces the alias construction.
-    pub cdf_cold_query_ns: f64,
-}
-
-impl ColdPathNumbers {
-    /// `serial / parallel` alias-artifact construction — on a single-core
-    /// machine this is the pure pass-fusion win; chunk scaling adds on
-    /// top wherever real cores exist.
-    pub fn alias_build_speedup(&self) -> f64 {
-        self.alias_serial_ns / self.alias_parallel_ns.max(1.0)
-    }
-
-    /// `alias / cdf` cold one-shot query latency — the factor the CDF
-    /// fallback shaves off time-to-first-result on a fresh recipe.
-    pub fn cdf_speedup(&self) -> f64 {
-        self.alias_cold_query_ns / self.cdf_cold_query_ns.max(1.0)
     }
 }
 
@@ -351,49 +263,6 @@ impl SegmentedNumbers {
     }
 }
 
-/// Deterministic traffic-simulator summary: one `supg-traffic` workload
-/// replayed twice, with the replay agreement recorded as a gateable
-/// number. Everything except `wall_ns_per_query` is a pure function of
-/// the seed, so the section diffs clean across machines.
-#[derive(Debug, Clone, Copy)]
-pub struct TrafficNumbers {
-    /// Simulator seed.
-    pub seed: u64,
-    /// Arrivals generated.
-    pub queries: u64,
-    /// Tenants registered.
-    pub tenants: u64,
-    /// Recipes in the catalog.
-    pub recipes: u64,
-    /// Queries that completed successfully.
-    pub completed: u64,
-    /// Queries that ran but failed (permanent oracle faults).
-    pub failed: u64,
-    /// Arrivals shed by the virtual in-flight limit.
-    pub shed_overload: u64,
-    /// Queries shed on the tenant-budget reservation.
-    pub shed_budget: u64,
-    /// Queries shed by an open circuit breaker.
-    pub shed_circuit: u64,
-    /// Oracle calls completed queries consumed.
-    pub oracle_calls: u64,
-    /// Transient oracle failures absorbed by retries.
-    pub oracle_retries: u64,
-    /// Sampling-artifact cache hit rate across completed queries.
-    pub cache_hit_rate: f64,
-    /// `completed / queries`.
-    pub completion_ratio: f64,
-    /// 1.0 iff two same-seed runs replayed bit-identically, else 0.0.
-    pub determinism: f64,
-    /// High 32 bits of the run-report hash (split into halves so both
-    /// survive the JSON's f64 numbers exactly).
-    pub hash_hi: u32,
-    /// Low 32 bits of the run-report hash.
-    pub hash_lo: u32,
-    /// Wall-clock ns per arrival — informational, machine-dependent.
-    pub wall_ns_per_query: f64,
-}
-
 /// Everything `BENCH_selectors.json` records.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
@@ -405,41 +274,66 @@ pub struct BenchReport {
     pub precision: Comparison,
     /// Recall-threshold estimation, sweep vs naive.
     pub recall: Comparison,
-    /// Canonical-index assembly cost (`OracleSample::from_parts`), ns.
-    pub assembly_ns: f64,
-    /// Repeated-query serving numbers.
-    pub serving: ServingNumbers,
     /// Retry-runtime overhead on warm serving.
     pub resilience: ResilienceNumbers,
     /// Multi-client saturation curve through the `supg-serve` server.
     pub saturation: SaturationNumbers,
     /// Rank-index vs linear-scan set materialization.
     pub materialization: MaterializationNumbers,
-    /// Parallel vs serial cold artifact construction.
+    /// Serial vs planner-chosen cold rank-index construction.
     pub cold_build: ColdBuildNumbers,
-    /// Cold-start serving: alias-build parallelization and the CDF
-    /// fallback's cold one-shot win.
-    pub cold_path: ColdPathNumbers,
     /// Adaptive planner: Auto vs best hand-tuned across the
     /// cold/warm × small/huge × fast/slow-oracle grid.
     pub planner: PlannerNumbers,
     /// Segmented-corpus artifact build and stitched threshold search.
     pub segmented: SegmentedNumbers,
-    /// Deterministic traffic-simulator replay through `supg-serve`.
-    pub traffic: TrafficNumbers,
 }
 
-/// Runs the full measurement suite. `quick` trims iteration counts for CI
-/// smoke jobs; the recorded *ratios* are stable either way.
-pub fn run_suite(quick: bool) -> BenchReport {
+/// The direction in which a gated ratio improves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// A speedup: the gate fails when it falls below half the baseline.
+    Higher,
+    /// A cost ratio: the gate fails when it rises above twice the
+    /// baseline.
+    Lower,
+}
+
+/// One regression gate: a within-run ratio, the `section.key` it is
+/// recorded under, and the direction in which it improves. Every gate
+/// compares two arms measured in the same process, so the ratio
+/// transfers across machines of different absolute speed.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    /// JSON section of the recorded ratio.
+    pub section: &'static str,
+    /// Key of the recorded ratio inside its section.
+    pub key: &'static str,
+    /// This run's ratio.
+    pub current: f64,
+    /// Which way the ratio improves.
+    pub better: Better,
+}
+
+impl Gate {
+    /// Whether `current` regressed more than 2× against `baseline`.
+    pub fn regressed(&self, baseline: f64) -> bool {
+        match self.better {
+            Better::Higher => self.current < baseline / 2.0,
+            Better::Lower => self.current > baseline * 2.0,
+        }
+    }
+}
+
+/// Runs the measurement suite.
+pub fn run_suite() -> BenchReport {
     let s = 10_000;
     let step = 100;
     let sample = synthetic_sample(s);
     let cfg = SelectorConfig::default().with_precision_step(step);
     let (gamma, delta) = (0.7, 0.05);
 
-    let sweep_iters = if quick { 40 } else { 200 };
-    let naive_iters = if quick { 10 } else { 40 };
+    let (sweep_iters, naive_iters) = (40, 10);
     let precision = Comparison {
         sweep_ns: median_ns(sweep_iters, || {
             let mut rng = StdRng::seed_from_u64(1);
@@ -474,35 +368,18 @@ pub fn run_suite(quick: bool) -> BenchReport {
             ));
         }),
     };
-    let assembly_ns = median_ns(if quick { 10 } else { 40 }, || {
-        std::hint::black_box(synthetic_sample(s));
-    });
-
-    let serving = measure_serving(if quick { 8 } else { 32 });
-    let resilience = measure_resilience(if quick { 8 } else { 32 });
-    let saturation = measure_saturation(quick);
-    let materialization = measure_materialization(if quick { 10 } else { 40 });
-    let cold_build = measure_cold_build(if quick { 3 } else { 7 });
-    let cold_path = measure_cold_path(if quick { 5 } else { 15 });
-    let segmented = measure_segmented(if quick { 3 } else { 7 });
-    let planner = measure_planner(if quick { 3 } else { 7 });
-    let traffic = measure_traffic(quick);
 
     BenchReport {
         s,
         step,
         precision,
         recall,
-        assembly_ns,
-        serving,
-        resilience,
-        saturation,
-        materialization,
-        cold_build,
-        cold_path,
-        planner,
-        segmented,
-        traffic,
+        resilience: measure_resilience(8),
+        saturation: measure_saturation(8),
+        materialization: measure_materialization(10),
+        cold_build: measure_cold_build(3),
+        planner: measure_planner(3),
+        segmented: measure_segmented(3),
     }
 }
 
@@ -524,7 +401,6 @@ fn measure_segmented(iters: usize) -> SegmentedNumbers {
     // τ at the 10,000-th order statistic: the search arms copy a ~10k
     // set while the linear reference scans the full ten million.
     let tau = seg.kth_highest_score(10_000);
-    let iters = iters.max(3);
     let (mut flat_cdf, mut seg_cdf) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
     let (mut flat_search, mut seg_search) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
     for _ in 0..iters {
@@ -546,127 +422,14 @@ fn measure_segmented(iters: usize) -> SegmentedNumbers {
         std::hint::black_box(seg.stitched_prefix(tau));
         seg_search.push(start.elapsed().as_nanos() as f64);
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
-    };
     SegmentedNumbers {
         n,
         segment_size,
         workers,
-        flat_cdf_build_ns: median(&mut flat_cdf),
-        segmented_cdf_build_ns: median(&mut seg_cdf),
-        flat_search_ns: median(&mut flat_search),
-        segmented_search_ns: median(&mut seg_search),
-    }
-}
-
-/// The pre-cold-path alias construction, retained **verbatim and
-/// self-contained** as the serial Vose baseline (like `cold_build`'s
-/// legacy comparator sort — it must not inherit the production path's
-/// optimizations): one validation + sum pass with a per-element assert,
-/// separate normalize and scale passes, a partition scan into growing
-/// stacks, then the textbook Vose pairing that allocates and fills a
-/// fresh acceptance array and writes it slot by slot (the production
-/// build now moves the residual array into the acceptance role instead).
-/// Returns `(accept, alias, probs)`; pinned bit-identical to
-/// [`AliasTable::new`](supg_sampling::AliasTable::new)'s arrays by the parity test below.
-pub fn legacy_alias_table(weights: &[f64]) -> (Vec<f64>, Vec<u32>, Vec<f64>) {
-    assert!(!weights.is_empty(), "AliasTable: empty weights");
-    let total: f64 = weights
-        .iter()
-        .map(|&w| {
-            assert!(w.is_finite() && w >= 0.0, "AliasTable: bad weight {w}");
-            w
-        })
-        .sum();
-    assert!(total > 0.0, "AliasTable: weights sum to zero");
-    let n = weights.len();
-    let probs: Vec<f64> = weights.iter().map(|&w| w / total).collect();
-    let mut scaled: Vec<f64> = probs.iter().map(|&p| p * n as f64).collect();
-    let mut small: Vec<u32> = Vec::new();
-    let mut large: Vec<u32> = Vec::new();
-    for (i, &s) in scaled.iter().enumerate() {
-        if s < 1.0 {
-            small.push(i as u32);
-        } else {
-            large.push(i as u32);
-        }
-    }
-    let mut accept = vec![1.0_f64; n];
-    let mut alias = vec![0_u32; n];
-    while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-        accept[s as usize] = scaled[s as usize];
-        alias[s as usize] = l;
-        scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
-        if scaled[l as usize] < 1.0 {
-            small.push(l);
-        } else {
-            large.push(l);
-        }
-    }
-    for i in small.into_iter().chain(large) {
-        accept[i as usize] = 1.0;
-    }
-    (accept, alias, probs)
-}
-
-/// The cold-start path at n = 10⁶: (a) artifact construction, legacy
-/// serial passes vs the chunk-partitioned feed build; (b) one complete
-/// cold one-shot query per sampler strategy. Arms alternate within one
-/// loop so ambient machine noise hits all medians alike.
-fn measure_cold_path(iters: usize) -> ColdPathNumbers {
-    let n = 1_000_000;
-    let workers = 8;
-    let budget = 1_000;
-    let (data, labels) = serving_workload(n);
-    data.rank_index(); // shared by both query arms; cold_build times it
-    let rt = RuntimeConfig::default().with_parallelism(workers);
-    let iters = iters.max(3);
-    let (mut serial, mut parallel) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
-    let (mut alias_q, mut cdf_q) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
-    for q in 0..iters {
-        let start = Instant::now();
-        // The pre-cold-path construction: separate weight passes, then
-        // the legacy pass-by-pass alias build.
-        let weights = ImportanceWeights::from_scores(data.scores(), 0.5, 0.1);
-        std::hint::black_box(legacy_alias_table(weights.probs()));
-        serial.push(start.elapsed().as_nanos() as f64);
-
-        let start = Instant::now();
-        std::hint::black_box(WeightArtifacts::build(&*data, 0.5, 0.1, false, &rt));
-        parallel.push(start.elapsed().as_nanos() as f64);
-
-        for (strategy, samples) in [
-            (SamplerStrategy::Alias, &mut alias_q),
-            (SamplerStrategy::Cdf, &mut cdf_q),
-        ] {
-            let labels = Arc::clone(&labels);
-            let mut oracle = CachedOracle::parallel(labels.len(), budget, move |i| labels[i]);
-            let start = Instant::now();
-            let outcome = SupgSession::over(&*data)
-                .recall(0.9)
-                .budget(budget)
-                .selector(SelectorKind::ImportanceSampling)
-                .sampler_strategy(strategy)
-                .seed(q as u64)
-                .run(&mut oracle)
-                .expect("cold one-shot query failed");
-            samples.push(start.elapsed().as_nanos() as f64);
-            std::hint::black_box(outcome);
-        }
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
-    };
-    ColdPathNumbers {
-        n,
-        workers,
-        alias_serial_ns: median(&mut serial),
-        alias_parallel_ns: median(&mut parallel),
-        alias_cold_query_ns: median(&mut alias_q),
-        cdf_cold_query_ns: median(&mut cdf_q),
+        flat_cdf_build_ns: median(flat_cdf),
+        segmented_cdf_build_ns: median(seg_cdf),
+        flat_search_ns: median(flat_search),
+        segmented_search_ns: median(seg_search),
     }
 }
 
@@ -679,7 +442,7 @@ fn measure_materialization(iters: usize) -> MaterializationNumbers {
     let index = data.rank_index(); // built outside the timed region
     let tau = index.kth_highest_score(10_000);
     let k = index.cut_for(tau);
-    let rank_ns = median_ns(iters.max(3) * 4, || {
+    let rank_ns = median_ns(iters * 4, || {
         std::hint::black_box(index.materialize(tau));
     });
     let linear_ns = median_ns(iters, || {
@@ -693,12 +456,10 @@ fn measure_materialization(iters: usize) -> MaterializationNumbers {
     }
 }
 
-/// Cold rank-index construction at production scale (n = 10⁷, where the
-/// legacy comparator's random score loads run out of cache, as on any
-/// real corpus). Three arms, alternating within one loop so ambient
-/// machine noise hits every median alike: the retained legacy
-/// comparator sort, the serial packed-key build (the planner's floor),
-/// and the planner-chosen build at the chunk count
+/// Cold rank-index construction at production scale (n = 10⁷). Two
+/// arms, alternating within one loop so ambient machine noise hits both
+/// medians alike: the serial packed-key build (the planner's floor) and
+/// the planner-chosen build at the chunk count
 /// [`planned_chunks`] resolved from the process calibration. Where the
 /// calibration keeps the serial floor (`chunks = 1`) the chosen build
 /// is the serial build — the same code path — so `parallel_ns` is
@@ -708,25 +469,9 @@ fn measure_cold_build(iters: usize) -> ColdBuildNumbers {
     let n = 10_000_000;
     let (scores, _) = BetaDataset::new(0.05, 2.0, n).generate(7).into_parts();
     let chunks = planned_chunks(n, CalibrationProfile::measured());
-    let iters = iters.max(3);
-    let mut legacy = Vec::with_capacity(iters);
     let mut serial = Vec::with_capacity(iters);
     let mut parallel = Vec::with_capacity(iters);
     for _ in 0..iters {
-        let start = Instant::now();
-        // The pre-rank-index construction (`ScoredDataset::new` before
-        // this layer existed): an index sort driven by a float comparator
-        // over the score array, plus the gathered sorted view.
-        let mut order: Vec<u32> = (0..scores.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            scores[b as usize]
-                .partial_cmp(&scores[a as usize])
-                .expect("finite scores")
-        });
-        let sorted: Vec<f64> = order.iter().map(|&i| scores[i as usize]).collect();
-        std::hint::black_box((order, sorted));
-        legacy.push(start.elapsed().as_nanos() as f64);
-
         let start = Instant::now();
         std::hint::black_box(RankIndex::build_serial(&scores));
         serial.push(start.elapsed().as_nanos() as f64);
@@ -737,20 +482,15 @@ fn measure_cold_build(iters: usize) -> ColdBuildNumbers {
             parallel.push(start.elapsed().as_nanos() as f64);
         }
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
-    };
-    let serial_ns = median(&mut serial);
+    let serial_ns = median(serial);
     let parallel_ns = if chunks > 1 {
-        median(&mut parallel)
+        median(parallel)
     } else {
         serial_ns
     };
     ColdBuildNumbers {
         n,
         workers: chunks,
-        legacy_ns: median(&mut legacy),
         serial_ns,
         parallel_ns,
     }
@@ -881,6 +621,9 @@ fn measure_planner_cell(
     iters: usize,
 ) -> PlannerCell {
     let fresh = || PreparedDataset::from_scores(scores.to_vec()).expect("valid scores");
+    let query = |data: &PreparedDataset, planner: Option<&Planner>, sampler, seed| {
+        planner_query(data, planner, sampler, labels, budget, slow_call_ns, seed)
+    };
     let mut auto = Vec::with_capacity(iters);
     let mut alias = Vec::with_capacity(iters);
     let mut cdf = Vec::with_capacity(iters);
@@ -892,105 +635,34 @@ fn measure_planner_cell(
         // table — so the timed samples below measure the warm steady
         // state, not the one-off promotion build.
         for _ in 0..2 {
-            planner_query(
-                &auto_data,
-                Some(&planner),
-                SamplerStrategy::Auto,
-                labels,
-                budget,
-                slow_call_ns,
-                0,
-            );
+            query(&auto_data, Some(&planner), SamplerStrategy::Auto, 0);
         }
-        planner_query(
-            &alias_data,
-            None,
-            SamplerStrategy::Alias,
-            labels,
-            budget,
-            slow_call_ns,
-            0,
-        );
-        planner_query(
-            &cdf_data,
-            None,
-            SamplerStrategy::Cdf,
-            labels,
-            budget,
-            slow_call_ns,
-            0,
-        );
+        query(&alias_data, None, SamplerStrategy::Alias, 0);
+        query(&cdf_data, None, SamplerStrategy::Cdf, 0);
         for it in 0..iters {
             let seed = it as u64 + 1;
-            auto.push(planner_query(
+            auto.push(query(
                 &auto_data,
                 Some(&planner),
                 SamplerStrategy::Auto,
-                labels,
-                budget,
-                slow_call_ns,
                 seed,
             ));
-            alias.push(planner_query(
-                &alias_data,
-                None,
-                SamplerStrategy::Alias,
-                labels,
-                budget,
-                slow_call_ns,
-                seed,
-            ));
-            cdf.push(planner_query(
-                &cdf_data,
-                None,
-                SamplerStrategy::Cdf,
-                labels,
-                budget,
-                slow_call_ns,
-                seed,
-            ));
+            alias.push(query(&alias_data, None, SamplerStrategy::Alias, seed));
+            cdf.push(query(&cdf_data, None, SamplerStrategy::Cdf, seed));
         }
     } else {
         for it in 0..iters {
             let seed = it as u64 + 1;
             let planner = Planner::new();
-            auto.push(planner_query(
-                &fresh(),
-                Some(&planner),
-                SamplerStrategy::Auto,
-                labels,
-                budget,
-                slow_call_ns,
-                seed,
-            ));
-            alias.push(planner_query(
-                &fresh(),
-                None,
-                SamplerStrategy::Alias,
-                labels,
-                budget,
-                slow_call_ns,
-                seed,
-            ));
-            cdf.push(planner_query(
-                &fresh(),
-                None,
-                SamplerStrategy::Cdf,
-                labels,
-                budget,
-                slow_call_ns,
-                seed,
-            ));
+            auto.push(query(&fresh(), Some(&planner), SamplerStrategy::Auto, seed));
+            alias.push(query(&fresh(), None, SamplerStrategy::Alias, seed));
+            cdf.push(query(&fresh(), None, SamplerStrategy::Cdf, seed));
         }
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        v[v.len() / 2]
-    };
     PlannerCell {
-        auto_ns: median(&mut auto),
-        alias_ns: median(&mut alias),
-        cdf_ns: median(&mut cdf),
+        auto_ns: median(auto),
+        alias_ns: median(alias),
+        cdf_ns: median(cdf),
     }
 }
 
@@ -1000,7 +672,6 @@ fn measure_planner(iters: usize) -> PlannerNumbers {
     let huge_n = 1_000_000;
     let budget = 400;
     let slow_call_ns: u64 = 150_000;
-    let iters = iters.max(3);
     let (small_scores, small_labels) = BetaDataset::new(0.05, 2.0, small_n)
         .generate(7)
         .into_parts();
@@ -1044,10 +715,10 @@ fn measure_planner(iters: usize) -> PlannerNumbers {
     }
 }
 
-/// The exporter's serving workload: one Beta(0.05, 2) dataset with
+/// The serving workload: one Beta(0.05, 2) dataset with
 /// Bernoulli(score) ground truth (single definition so every section
 /// measures the same thing).
-pub fn serving_workload(n: usize) -> (Arc<ScoredDataset>, Arc<Vec<bool>>) {
+fn serving_workload(n: usize) -> (Arc<ScoredDataset>, Arc<Vec<bool>>) {
     let (scores, labels) = BetaDataset::new(0.05, 2.0, n).generate(7).into_parts();
     (
         Arc::new(ScoredDataset::new(scores).expect("valid scores")),
@@ -1057,7 +728,7 @@ pub fn serving_workload(n: usize) -> (Arc<ScoredDataset>, Arc<Vec<bool>>) {
 
 /// One serving query: the paper's IS-CI-R configuration at recall 0.9
 /// over a fresh budgeted oracle.
-pub fn run_query(session: SupgSession<'_>, labels: &Arc<Vec<bool>>, budget: usize, seed: u64) {
+fn run_query(session: SupgSession<'_>, labels: &Arc<Vec<bool>>, budget: usize, seed: u64) {
     let labels = Arc::clone(labels);
     let mut oracle = CachedOracle::parallel(labels.len(), budget, move |i| labels[i]);
     let outcome = session
@@ -1068,67 +739,6 @@ pub fn run_query(session: SupgSession<'_>, labels: &Arc<Vec<bool>>, budget: usiz
         .run(&mut oracle)
         .expect("serving query failed");
     std::hint::black_box(outcome);
-}
-
-fn measure_serving(queries: usize) -> ServingNumbers {
-    let n = 1_000_000;
-    let budget = 1_000;
-    let (data, labels) = serving_workload(n);
-    // The rank index is per-dataset (shared by cold and prepared sessions
-    // alike); build it outside the timed arms so both measure per-query
-    // work — `measure_cold_build` times the construction itself.
-    data.rank_index();
-
-    // Cold arm: every query rebuilds weights + alias table (O(n) setup).
-    let cold_start = Instant::now();
-    for q in 0..queries {
-        run_query(SupgSession::over(&*data), &labels, budget, q as u64);
-    }
-    let cold_ns_per_query = cold_start.elapsed().as_nanos() as f64 / queries as f64;
-
-    // Prepared arm: the first query builds the shared artifacts once.
-    let prepared = Arc::new(PreparedDataset::from_arc(Arc::clone(&data)));
-    let first_start = Instant::now();
-    run_query(SupgSession::over(&*prepared), &labels, budget, 0);
-    let prepared_first_query_ns = first_start.elapsed().as_nanos() as f64;
-    let warm_start = Instant::now();
-    for q in 0..queries {
-        run_query(SupgSession::over(&*prepared), &labels, budget, q as u64);
-    }
-    let prepared_ns_per_query = warm_start.elapsed().as_nanos() as f64 / queries as f64;
-
-    // Concurrent arm: sessions on several threads share one prepared
-    // dataset (the production serving shape).
-    let concurrency = 4;
-    let conc_start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..concurrency {
-            let prepared = Arc::clone(&prepared);
-            let labels = Arc::clone(&labels);
-            scope.spawn(move || {
-                for q in 0..queries / concurrency {
-                    run_query(
-                        SupgSession::over(Arc::clone(&prepared)),
-                        &labels,
-                        budget,
-                        (t * 1_000 + q) as u64,
-                    );
-                }
-            });
-        }
-    });
-    let concurrent_wall_ns = conc_start.elapsed().as_nanos() as f64;
-
-    ServingNumbers {
-        n,
-        budget,
-        queries,
-        cold_ns_per_query,
-        prepared_ns_per_query,
-        prepared_first_query_ns,
-        concurrent_wall_ns,
-        concurrency,
-    }
 }
 
 /// Retry overhead on the warm serving path: the paper's IS-CI-R query
@@ -1172,16 +782,14 @@ fn measure_resilience(queries: usize) -> ResilienceNumbers {
         retries += outcome.oracle_retries;
         std::hint::black_box(outcome);
     }
-    clean_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    retried_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
 
     ResilienceNumbers {
         n,
         budget,
         queries,
         transient_rate,
-        fault_free_ns_per_query: clean_ns[clean_ns.len() / 2],
-        retried_ns_per_query: retried_ns[retried_ns.len() / 2],
+        fault_free_ns_per_query: median(clean_ns),
+        retried_ns_per_query: median(retried_ns),
         retries,
     }
 }
@@ -1201,18 +809,13 @@ fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
 
 /// The saturation curve: one [`SupgServer`] (warmed shared corpus, one
 /// tenant, the full admission pipeline on every query) hammered by
-/// 1…64 concurrent clients. Each client brings its own oracle and times
-/// every `serve` call; a point records the pooled p50/p99 latency and
-/// the aggregate QPS.
-fn measure_saturation(quick: bool) -> SaturationNumbers {
+/// 1, 2, 4 and 8 concurrent clients. Each client brings its own oracle
+/// and times every `serve` call; a point records the pooled p50/p99
+/// latency and the aggregate QPS.
+fn measure_saturation(queries_per_client: usize) -> SaturationNumbers {
     let n = 1_000_000;
     let budget = 1_000;
-    let queries_per_client = if quick { 8 } else { 16 };
-    let client_counts: &[usize] = if quick {
-        &[1, 2, 4, 8]
-    } else {
-        &[1, 2, 4, 8, 16, 32, 64]
-    };
+    let client_counts = [1, 2, 4, 8];
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
@@ -1234,9 +837,17 @@ fn measure_saturation(quick: bool) -> SaturationNumbers {
         .pool()
         .warm("corpus", &spec.config)
         .expect("corpus registered");
+    // One untimed query: the process's first planned `serve` runs the
+    // planner's one-time calibration, which would otherwise land in the
+    // 1-client point and inflate the scaling ratio.
+    let l = Arc::clone(&labels);
+    let mut oracle = CachedOracle::parallel(l.len(), budget, move |i| l[i]);
+    server
+        .serve("bench", "corpus", &spec, &mut oracle)
+        .expect("warm-up query failed");
 
     let mut points = Vec::with_capacity(client_counts.len());
-    for &clients in client_counts {
+    for clients in client_counts {
         let wall = Instant::now();
         let mut latencies: Vec<f64> = std::thread::scope(|scope| {
             (0..clients)
@@ -1285,308 +896,204 @@ fn measure_saturation(quick: bool) -> SaturationNumbers {
     }
 }
 
-/// Runs the deterministic traffic simulator twice on one seed and
-/// records whether the replays agreed bit for bit — the property the
-/// `traffic.determinism` gate pins. The quick shape keeps CI smoke
-/// cheap; the full run drives the standard shape (thousands of
-/// tenants) so the recorded counts exercise the scale the simulator
-/// exists for. Either way every recorded number except
-/// `wall_ns_per_query` is a pure function of the seed.
-fn measure_traffic(quick: bool) -> TrafficNumbers {
-    let seed = 0x5097_2020;
-    let config = if quick {
-        supg_traffic::TrafficConfig::quick(seed)
-    } else {
-        supg_traffic::TrafficConfig::standard(seed)
-    };
-    let first = supg_traffic::run(&config);
-    let second = supg_traffic::run(&config);
-    let hash = first.hash();
-    TrafficNumbers {
-        seed: first.seed,
-        queries: first.queries,
-        tenants: first.tenants,
-        recipes: first.recipes,
-        completed: first.completed,
-        failed: first.failed,
-        shed_overload: first.shed_overload,
-        shed_budget: first.shed_budget,
-        shed_circuit: first.shed_circuit,
-        oracle_calls: first.oracle_calls,
-        oracle_retries: first.oracle_retries,
-        cache_hit_rate: first.cache_hit_rate(),
-        completion_ratio: first.completion_ratio(),
-        determinism: if second.hash() == hash { 1.0 } else { 0.0 },
-        hash_hi: (hash >> 32) as u32,
-        hash_lo: hash as u32,
-        wall_ns_per_query: first.wall_elapsed.as_nanos() as f64 / first.queries.max(1) as f64,
-    }
-}
-
 impl BenchReport {
-    /// Serializes the report as the flat `BENCH_selectors.json` document.
+    /// Every gate `bench_export --check` enforces. Each one is required:
+    /// a baseline without its key fails the check.
+    pub fn gates(&self) -> [Gate; 9] {
+        use Better::{Higher, Lower};
+        let gate = |section, key, current, better| Gate {
+            section,
+            key,
+            current,
+            better,
+        };
+        [
+            gate(
+                "threshold_search",
+                "speedup",
+                self.precision.speedup(),
+                Higher,
+            ),
+            gate("recall_threshold", "speedup", self.recall.speedup(), Higher),
+            gate(
+                "materialization",
+                "speedup",
+                self.materialization.speedup(),
+                Higher,
+            ),
+            gate("cold_build", "speedup", self.cold_build.speedup(), Higher),
+            gate(
+                "segmented",
+                "cdf_build_speedup",
+                self.segmented.cdf_build_speedup(),
+                Higher,
+            ),
+            gate(
+                "segmented",
+                "search_speedup",
+                self.segmented.search_speedup(),
+                Higher,
+            ),
+            // Normalized by min(4, cores), so the ratio transfers across
+            // runners with different core counts.
+            gate(
+                "serving",
+                "scaling_efficiency",
+                self.saturation.scaling_efficiency(),
+                Higher,
+            ),
+            gate("resilience", "overhead", self.resilience.overhead(), Lower),
+            gate("planner", "worst_ratio", self.planner.worst_ratio(), Lower),
+        ]
+    }
+
+    /// Serializes the report as the flat `BENCH_selectors.json` document:
+    /// one level of sections, each a flat object of numbers.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": \"supg-bench/8\",");
-        let _ = writeln!(out, "  \"threshold_search\": {{");
-        let _ = writeln!(out, "    \"s\": {},", self.s);
-        let _ = writeln!(out, "    \"step\": {},", self.step);
-        let _ = writeln!(out, "    \"sweep_ns\": {:.0},", self.precision.sweep_ns);
-        let _ = writeln!(out, "    \"naive_ns\": {:.0},", self.precision.naive_ns);
-        let _ = writeln!(out, "    \"speedup\": {:.2},", self.precision.speedup());
-        let _ = writeln!(out, "    \"assembly_ns\": {:.0}", self.assembly_ns);
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"recall_threshold\": {{");
-        let _ = writeln!(out, "    \"sweep_ns\": {:.0},", self.recall.sweep_ns);
-        let _ = writeln!(out, "    \"naive_ns\": {:.0},", self.recall.naive_ns);
-        let _ = writeln!(out, "    \"speedup\": {:.2}", self.recall.speedup());
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"prepared_serving\": {{");
-        let _ = writeln!(out, "    \"n\": {},", self.serving.n);
-        let _ = writeln!(out, "    \"budget\": {},", self.serving.budget);
-        let _ = writeln!(out, "    \"queries\": {},", self.serving.queries);
-        let _ = writeln!(
-            out,
-            "    \"cold_ns_per_query\": {:.0},",
-            self.serving.cold_ns_per_query
-        );
-        let _ = writeln!(
-            out,
-            "    \"prepared_ns_per_query\": {:.0},",
-            self.serving.prepared_ns_per_query
-        );
-        let _ = writeln!(
-            out,
-            "    \"prepared_first_query_ns\": {:.0},",
-            self.serving.prepared_first_query_ns
-        );
-        let _ = writeln!(out, "    \"speedup\": {:.2},", self.serving.speedup());
-        let _ = writeln!(
-            out,
-            "    \"amortization\": {:.3},",
-            self.serving.amortization()
-        );
-        let _ = writeln!(out, "    \"concurrency\": {},", self.serving.concurrency);
-        let _ = writeln!(
-            out,
-            "    \"concurrent_wall_ns\": {:.0}",
-            self.serving.concurrent_wall_ns
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"resilience\": {{");
-        let _ = writeln!(out, "    \"n\": {},", self.resilience.n);
-        let _ = writeln!(out, "    \"budget\": {},", self.resilience.budget);
-        let _ = writeln!(out, "    \"queries\": {},", self.resilience.queries);
-        let _ = writeln!(
-            out,
-            "    \"transient_rate\": {:.3},",
-            self.resilience.transient_rate
-        );
-        let _ = writeln!(
-            out,
-            "    \"fault_free_ns_per_query\": {:.0},",
-            self.resilience.fault_free_ns_per_query
-        );
-        let _ = writeln!(
-            out,
-            "    \"retried_ns_per_query\": {:.0},",
-            self.resilience.retried_ns_per_query
-        );
-        let _ = writeln!(out, "    \"retries\": {},", self.resilience.retries);
-        let _ = writeln!(out, "    \"overhead\": {:.3}", self.resilience.overhead());
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"materialization\": {{");
-        let _ = writeln!(out, "    \"n\": {},", self.materialization.n);
-        let _ = writeln!(out, "    \"k\": {},", self.materialization.k);
-        let _ = writeln!(out, "    \"rank_ns\": {:.0},", self.materialization.rank_ns);
-        let _ = writeln!(
-            out,
-            "    \"linear_ns\": {:.0},",
-            self.materialization.linear_ns
-        );
-        let _ = writeln!(
-            out,
-            "    \"speedup\": {:.2}",
-            self.materialization.speedup()
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"cold_build\": {{");
-        let _ = writeln!(out, "    \"n\": {},", self.cold_build.n);
-        let _ = writeln!(out, "    \"workers\": {},", self.cold_build.workers);
-        let _ = writeln!(out, "    \"legacy_ns\": {:.0},", self.cold_build.legacy_ns);
-        let _ = writeln!(out, "    \"serial_ns\": {:.0},", self.cold_build.serial_ns);
-        let _ = writeln!(
-            out,
-            "    \"parallel_ns\": {:.0},",
-            self.cold_build.parallel_ns
-        );
-        let _ = writeln!(out, "    \"speedup\": {:.2},", self.cold_build.speedup());
-        let _ = writeln!(
-            out,
-            "    \"legacy_speedup\": {:.2}",
-            self.cold_build.legacy_speedup()
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"cold_path\": {{");
-        let _ = writeln!(out, "    \"n\": {},", self.cold_path.n);
-        let _ = writeln!(out, "    \"workers\": {},", self.cold_path.workers);
-        let _ = writeln!(
-            out,
-            "    \"alias_serial_ns\": {:.0},",
-            self.cold_path.alias_serial_ns
-        );
-        let _ = writeln!(
-            out,
-            "    \"alias_parallel_ns\": {:.0},",
-            self.cold_path.alias_parallel_ns
-        );
-        let _ = writeln!(
-            out,
-            "    \"alias_build_speedup\": {:.2},",
-            self.cold_path.alias_build_speedup()
-        );
-        let _ = writeln!(
-            out,
-            "    \"alias_cold_query_ns\": {:.0},",
-            self.cold_path.alias_cold_query_ns
-        );
-        let _ = writeln!(
-            out,
-            "    \"cdf_cold_query_ns\": {:.0},",
-            self.cold_path.cdf_cold_query_ns
-        );
-        let _ = writeln!(
-            out,
-            "    \"cdf_speedup\": {:.2}",
-            self.cold_path.cdf_speedup()
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"segmented\": {{");
-        let _ = writeln!(out, "    \"n\": {},", self.segmented.n);
-        let _ = writeln!(
-            out,
-            "    \"segment_size\": {},",
-            self.segmented.segment_size
-        );
-        let _ = writeln!(out, "    \"workers\": {},", self.segmented.workers);
-        let _ = writeln!(
-            out,
-            "    \"flat_cdf_build_ns\": {:.0},",
-            self.segmented.flat_cdf_build_ns
-        );
-        let _ = writeln!(
-            out,
-            "    \"segmented_cdf_build_ns\": {:.0},",
-            self.segmented.segmented_cdf_build_ns
-        );
-        let _ = writeln!(
-            out,
-            "    \"cdf_build_speedup\": {:.2},",
-            self.segmented.cdf_build_speedup()
-        );
-        let _ = writeln!(
-            out,
-            "    \"flat_search_ns\": {:.0},",
-            self.segmented.flat_search_ns
-        );
-        let _ = writeln!(
-            out,
-            "    \"segmented_search_ns\": {:.0},",
-            self.segmented.segmented_search_ns
-        );
-        let _ = writeln!(
-            out,
-            "    \"search_speedup\": {:.2}",
-            self.segmented.search_speedup()
-        );
-        let _ = writeln!(out, "  }},");
-        // Flat like every section: one `auto/hand/ratio` triple per
-        // grid cell, keyed by the cell label.
-        let _ = writeln!(out, "  \"planner\": {{");
-        let _ = writeln!(out, "    \"small_n\": {},", self.planner.small_n);
-        let _ = writeln!(out, "    \"huge_n\": {},", self.planner.huge_n);
-        let _ = writeln!(out, "    \"budget\": {},", self.planner.budget);
-        let _ = writeln!(out, "    \"slow_call_ns\": {},", self.planner.slow_call_ns);
-        for (label, cell) in PLANNER_CELLS.iter().zip(self.planner.cells.iter()) {
-            let _ = writeln!(out, "    \"auto_{label}_ns\": {:.0},", cell.auto_ns);
-            let _ = writeln!(out, "    \"hand_{label}_ns\": {:.0},", cell.best_hand_ns());
-            let _ = writeln!(out, "    \"ratio_{label}\": {:.3},", cell.ratio());
+        let kv = |key: &str, value: String| (key.to_string(), value);
+        let (prec, rec, res) = (&self.precision, &self.recall, &self.resilience);
+        let (mat, cold, seg) = (&self.materialization, &self.cold_build, &self.segmented);
+        let mut planner = vec![
+            kv("small_n", self.planner.small_n.to_string()),
+            kv("huge_n", self.planner.huge_n.to_string()),
+            kv("budget", self.planner.budget.to_string()),
+            kv("slow_call_ns", self.planner.slow_call_ns.to_string()),
+        ];
+        for (label, cell) in PLANNER_CELLS.iter().zip(&self.planner.cells) {
+            planner.push((format!("auto_{label}_ns"), format!("{:.0}", cell.auto_ns)));
+            planner.push((
+                format!("hand_{label}_ns"),
+                format!("{:.0}", cell.best_hand_ns()),
+            ));
+            planner.push((format!("ratio_{label}"), format!("{:.3}", cell.ratio())));
         }
-        let _ = writeln!(
-            out,
-            "    \"worst_ratio\": {:.3}",
-            self.planner.worst_ratio()
-        );
-        let _ = writeln!(out, "  }},");
-        // The saturation section stays flat (`extract_number` bounds a
-        // section at its first `}`), so each point's numbers are keyed by
-        // client count instead of nested.
-        let _ = writeln!(out, "  \"serving\": {{");
-        let _ = writeln!(out, "    \"n\": {},", self.saturation.n);
-        let _ = writeln!(out, "    \"budget\": {},", self.saturation.budget);
-        let _ = writeln!(
-            out,
-            "    \"queries_per_client\": {},",
-            self.saturation.queries_per_client
-        );
-        let _ = writeln!(out, "    \"cores\": {},", self.saturation.cores);
-        for p in &self.saturation.points {
-            let _ = writeln!(out, "    \"qps_c{}\": {:.2},", p.clients, p.qps);
-            let _ = writeln!(out, "    \"p50_c{}_ns\": {:.0},", p.clients, p.p50_ns);
-            let _ = writeln!(out, "    \"p99_c{}_ns\": {:.0},", p.clients, p.p99_ns);
+        planner.push(kv(
+            "worst_ratio",
+            format!("{:.3}", self.planner.worst_ratio()),
+        ));
+        // Each saturation point's numbers are keyed by client count, so
+        // the section stays flat (`extract_number` bounds a section at
+        // its first `}`).
+        let sat = &self.saturation;
+        let mut serving = vec![
+            kv("n", sat.n.to_string()),
+            kv("budget", sat.budget.to_string()),
+            kv("queries_per_client", sat.queries_per_client.to_string()),
+            kv("cores", sat.cores.to_string()),
+        ];
+        for pt in &sat.points {
+            serving.push((format!("qps_c{}", pt.clients), format!("{:.2}", pt.qps)));
+            serving.push((
+                format!("p50_c{}_ns", pt.clients),
+                format!("{:.0}", pt.p50_ns),
+            ));
+            serving.push((
+                format!("p99_c{}_ns", pt.clients),
+                format!("{:.0}", pt.p99_ns),
+            ));
         }
-        let _ = writeln!(
-            out,
-            "    \"scaling_4v1\": {:.3},",
-            self.saturation.scaling_4v1()
-        );
-        let _ = writeln!(
-            out,
-            "    \"scaling_efficiency\": {:.3}",
-            self.saturation.scaling_efficiency()
-        );
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"traffic\": {{");
-        let _ = writeln!(out, "    \"seed\": {},", self.traffic.seed);
-        let _ = writeln!(out, "    \"queries\": {},", self.traffic.queries);
-        let _ = writeln!(out, "    \"tenants\": {},", self.traffic.tenants);
-        let _ = writeln!(out, "    \"recipes\": {},", self.traffic.recipes);
-        let _ = writeln!(out, "    \"completed\": {},", self.traffic.completed);
-        let _ = writeln!(out, "    \"failed\": {},", self.traffic.failed);
-        let _ = writeln!(
-            out,
-            "    \"shed_overload\": {},",
-            self.traffic.shed_overload
-        );
-        let _ = writeln!(out, "    \"shed_budget\": {},", self.traffic.shed_budget);
-        let _ = writeln!(out, "    \"shed_circuit\": {},", self.traffic.shed_circuit);
-        let _ = writeln!(out, "    \"oracle_calls\": {},", self.traffic.oracle_calls);
-        let _ = writeln!(
-            out,
-            "    \"oracle_retries\": {},",
-            self.traffic.oracle_retries
-        );
-        let _ = writeln!(
-            out,
-            "    \"cache_hit_rate\": {:.3},",
-            self.traffic.cache_hit_rate
-        );
-        let _ = writeln!(
-            out,
-            "    \"completion_ratio\": {:.3},",
-            self.traffic.completion_ratio
-        );
-        let _ = writeln!(out, "    \"determinism\": {:.0},", self.traffic.determinism);
-        let _ = writeln!(out, "    \"hash_hi\": {},", self.traffic.hash_hi);
-        let _ = writeln!(out, "    \"hash_lo\": {},", self.traffic.hash_lo);
-        let _ = writeln!(
-            out,
-            "    \"wall_ns_per_query\": {:.0}",
-            self.traffic.wall_ns_per_query
-        );
-        let _ = writeln!(out, "  }}");
-        let _ = write!(out, "}}");
+        serving.push(kv("scaling_4v1", format!("{:.3}", sat.scaling_4v1())));
+        serving.push(kv(
+            "scaling_efficiency",
+            format!("{:.3}", sat.scaling_efficiency()),
+        ));
+
+        let sections = [
+            (
+                "threshold_search",
+                vec![
+                    kv("s", self.s.to_string()),
+                    kv("step", self.step.to_string()),
+                    kv("sweep_ns", format!("{:.0}", prec.sweep_ns)),
+                    kv("naive_ns", format!("{:.0}", prec.naive_ns)),
+                    kv("speedup", format!("{:.2}", prec.speedup())),
+                ],
+            ),
+            (
+                "recall_threshold",
+                vec![
+                    kv("sweep_ns", format!("{:.0}", rec.sweep_ns)),
+                    kv("naive_ns", format!("{:.0}", rec.naive_ns)),
+                    kv("speedup", format!("{:.2}", rec.speedup())),
+                ],
+            ),
+            (
+                "resilience",
+                vec![
+                    kv("n", res.n.to_string()),
+                    kv("budget", res.budget.to_string()),
+                    kv("queries", res.queries.to_string()),
+                    kv("transient_rate", format!("{:.3}", res.transient_rate)),
+                    kv(
+                        "fault_free_ns_per_query",
+                        format!("{:.0}", res.fault_free_ns_per_query),
+                    ),
+                    kv(
+                        "retried_ns_per_query",
+                        format!("{:.0}", res.retried_ns_per_query),
+                    ),
+                    kv("retries", res.retries.to_string()),
+                    kv("overhead", format!("{:.3}", res.overhead())),
+                ],
+            ),
+            (
+                "materialization",
+                vec![
+                    kv("n", mat.n.to_string()),
+                    kv("k", mat.k.to_string()),
+                    kv("rank_ns", format!("{:.0}", mat.rank_ns)),
+                    kv("linear_ns", format!("{:.0}", mat.linear_ns)),
+                    kv("speedup", format!("{:.2}", mat.speedup())),
+                ],
+            ),
+            (
+                "cold_build",
+                vec![
+                    kv("n", cold.n.to_string()),
+                    kv("workers", cold.workers.to_string()),
+                    kv("serial_ns", format!("{:.0}", cold.serial_ns)),
+                    kv("parallel_ns", format!("{:.0}", cold.parallel_ns)),
+                    kv("speedup", format!("{:.2}", cold.speedup())),
+                ],
+            ),
+            (
+                "segmented",
+                vec![
+                    kv("n", seg.n.to_string()),
+                    kv("segment_size", seg.segment_size.to_string()),
+                    kv("workers", seg.workers.to_string()),
+                    kv("flat_cdf_build_ns", format!("{:.0}", seg.flat_cdf_build_ns)),
+                    kv(
+                        "segmented_cdf_build_ns",
+                        format!("{:.0}", seg.segmented_cdf_build_ns),
+                    ),
+                    kv(
+                        "cdf_build_speedup",
+                        format!("{:.2}", seg.cdf_build_speedup()),
+                    ),
+                    kv("flat_search_ns", format!("{:.0}", seg.flat_search_ns)),
+                    kv(
+                        "segmented_search_ns",
+                        format!("{:.0}", seg.segmented_search_ns),
+                    ),
+                    kv("search_speedup", format!("{:.2}", seg.search_speedup())),
+                ],
+            ),
+            ("planner", planner),
+            ("serving", serving),
+        ];
+
+        let mut out = String::from("{\n  \"schema\": \"supg-bench/9\",\n");
+        for (i, (name, fields)) in sections.iter().enumerate() {
+            let _ = writeln!(out, "  \"{name}\": {{");
+            for (j, (key, value)) in fields.iter().enumerate() {
+                let comma = if j + 1 < fields.len() { "," } else { "" };
+                let _ = writeln!(out, "    \"{key}\": {value}{comma}");
+            }
+            let comma = if i + 1 < sections.len() { "," } else { "" };
+            let _ = writeln!(out, "  }}{comma}");
+        }
+        out.push('}');
         out
     }
 }
@@ -1615,11 +1122,30 @@ pub fn extract_number(json: &str, section: &str, key: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use supg_sampling::AliasTable;
 
-    #[test]
-    fn json_round_trips_through_extract() {
-        let report = BenchReport {
+    /// A report with distinguishable numbers and the suite's real shape
+    /// (four saturation points, eight planner cells).
+    fn fixture() -> BenchReport {
+        let point = |clients: usize, qps: f64| SaturationPoint {
+            clients,
+            queries: clients * 8,
+            p50_ns: 2e6,
+            p99_ns: 4e6,
+            qps,
+        };
+        let mut cells = [PlannerCell {
+            auto_ns: 1e6,
+            alias_ns: 1e6,
+            cdf_ns: 2e6,
+        }; 8];
+        // One distinguishable cell so the worst-ratio and per-cell keys
+        // are actually exercised.
+        cells[3] = PlannerCell {
+            auto_ns: 2.1e6,
+            alias_ns: 2e6,
+            cdf_ns: 4e6,
+        };
+        BenchReport {
             s: 10_000,
             step: 100,
             precision: Comparison {
@@ -1629,17 +1155,6 @@ mod tests {
             recall: Comparison {
                 sweep_ns: 2_000.0,
                 naive_ns: 9_000.0,
-            },
-            assembly_ns: 500.0,
-            serving: ServingNumbers {
-                n: 1_000_000,
-                budget: 1_000,
-                queries: 8,
-                cold_ns_per_query: 9e6,
-                prepared_ns_per_query: 1e6,
-                prepared_first_query_ns: 9e6,
-                concurrent_wall_ns: 4e6,
-                concurrency: 4,
             },
             resilience: ResilienceNumbers {
                 n: 1_000_000,
@@ -1656,20 +1171,10 @@ mod tests {
                 queries_per_client: 8,
                 cores: 8,
                 points: vec![
-                    SaturationPoint {
-                        clients: 1,
-                        queries: 8,
-                        p50_ns: 2e6,
-                        p99_ns: 3e6,
-                        qps: 500.0,
-                    },
-                    SaturationPoint {
-                        clients: 4,
-                        queries: 32,
-                        p50_ns: 2.5e6,
-                        p99_ns: 4e6,
-                        qps: 1_500.0,
-                    },
+                    point(1, 500.0),
+                    point(2, 900.0),
+                    point(4, 1_500.0),
+                    point(8, 1_600.0),
                 ],
             },
             materialization: MaterializationNumbers {
@@ -1679,19 +1184,10 @@ mod tests {
                 linear_ns: 1e6,
             },
             cold_build: ColdBuildNumbers {
-                n: 1_000_000,
+                n: 10_000_000,
                 workers: 8,
-                legacy_ns: 2e8,
                 serial_ns: 1.2e8,
                 parallel_ns: 4e7,
-            },
-            cold_path: ColdPathNumbers {
-                n: 1_000_000,
-                workers: 8,
-                alias_serial_ns: 2e7,
-                alias_parallel_ns: 1e7,
-                alias_cold_query_ns: 4e7,
-                cdf_cold_query_ns: 2.5e7,
             },
             segmented: SegmentedNumbers {
                 n: 10_000_000,
@@ -1707,162 +1203,72 @@ mod tests {
                 huge_n: 1_000_000,
                 budget: 400,
                 slow_call_ns: 150_000,
-                cells: {
-                    let mut cells = [PlannerCell {
-                        auto_ns: 1e6,
-                        alias_ns: 1e6,
-                        cdf_ns: 2e6,
-                    }; 8];
-                    // One distinguishable cell so the worst-ratio and
-                    // per-cell keys are actually exercised.
-                    cells[3] = PlannerCell {
-                        auto_ns: 2.1e6,
-                        alias_ns: 2e6,
-                        cdf_ns: 4e6,
-                    };
-                    cells
-                },
+                cells,
             },
-            traffic: TrafficNumbers {
-                seed: 7,
-                queries: 120,
-                tenants: 48,
-                recipes: 24,
-                completed: 90,
-                failed: 2,
-                shed_overload: 20,
-                shed_budget: 6,
-                shed_circuit: 2,
-                oracle_calls: 60_000,
-                oracle_retries: 900,
-                cache_hit_rate: 0.9875,
-                completion_ratio: 0.75,
-                determinism: 1.0,
-                hash_hi: 0xDEAD_BEEF,
-                hash_lo: 0x1234_5678,
-                wall_ns_per_query: 2.5e6,
-            },
-        };
-        let json = report.to_json();
-        assert_eq!(
-            extract_number(&json, "threshold_search", "s"),
-            Some(10_000.0)
-        );
-        assert_eq!(
-            extract_number(&json, "threshold_search", "speedup"),
-            Some(25.0)
-        );
-        assert_eq!(
-            extract_number(&json, "recall_threshold", "speedup"),
-            Some(4.5)
-        );
-        assert_eq!(
-            extract_number(&json, "prepared_serving", "speedup"),
-            Some(9.0)
-        );
-        assert_eq!(
-            extract_number(&json, "resilience", "transient_rate"),
-            Some(0.01)
-        );
-        assert_eq!(extract_number(&json, "resilience", "retries"), Some(80.0));
-        assert_eq!(extract_number(&json, "resilience", "overhead"), Some(1.25));
-        assert_eq!(
-            extract_number(&json, "materialization", "speedup"),
-            Some(50.0)
-        );
-        assert_eq!(
-            extract_number(&json, "materialization", "k"),
-            Some(10_000.0)
-        );
-        assert_eq!(extract_number(&json, "cold_build", "speedup"), Some(3.0));
-        assert_eq!(
-            extract_number(&json, "cold_build", "legacy_speedup"),
-            Some(5.0)
-        );
-        assert_eq!(extract_number(&json, "cold_build", "workers"), Some(8.0));
-        assert_eq!(
-            extract_number(&json, "planner", "small_n"),
-            Some((1u64 << 16) as f64)
-        );
-        assert_eq!(
-            extract_number(&json, "planner", "ratio_cold_small_fast"),
-            Some(1.0)
-        );
-        assert_eq!(
-            extract_number(&json, "planner", "auto_cold_huge_slow_ns"),
-            Some(2.1e6)
-        );
-        assert_eq!(
-            extract_number(&json, "planner", "hand_cold_huge_slow_ns"),
-            Some(2e6)
-        );
-        assert_eq!(extract_number(&json, "planner", "worst_ratio"), Some(1.05));
-        assert_eq!(
-            extract_number(&json, "cold_path", "alias_build_speedup"),
-            Some(2.0)
-        );
-        assert_eq!(extract_number(&json, "cold_path", "cdf_speedup"), Some(1.6));
-        assert_eq!(
-            extract_number(&json, "segmented", "segment_size"),
-            Some((1u64 << 20) as f64)
-        );
-        assert_eq!(
-            extract_number(&json, "segmented", "cdf_build_speedup"),
-            Some(3.0)
-        );
-        assert_eq!(
-            extract_number(&json, "segmented", "search_speedup"),
-            Some(500.0)
-        );
-        // The "serving" section key must not collide with
-        // "prepared_serving" — extract matches the quoted key only.
-        assert_eq!(extract_number(&json, "serving", "cores"), Some(8.0));
-        assert_eq!(extract_number(&json, "serving", "qps_c1"), Some(500.0));
-        assert_eq!(extract_number(&json, "serving", "qps_c4"), Some(1_500.0));
-        assert_eq!(extract_number(&json, "serving", "p99_c4_ns"), Some(4e6));
-        assert_eq!(extract_number(&json, "serving", "scaling_4v1"), Some(3.0));
-        assert_eq!(
-            extract_number(&json, "serving", "scaling_efficiency"),
-            Some(0.75)
-        );
-        assert_eq!(extract_number(&json, "serving", "qps_c2"), None);
-        assert_eq!(extract_number(&json, "traffic", "determinism"), Some(1.0));
-        assert_eq!(
-            extract_number(&json, "traffic", "completion_ratio"),
-            Some(0.75)
-        );
-        // cache_hit_rate prints at 3 decimals.
-        assert_eq!(
-            extract_number(&json, "traffic", "cache_hit_rate"),
-            Some(0.988)
-        );
-        assert_eq!(extract_number(&json, "traffic", "tenants"), Some(48.0));
-        // The hash halves must survive the f64 round trip exactly.
-        assert_eq!(
-            extract_number(&json, "traffic", "hash_hi"),
-            Some(0xDEAD_BEEFu32 as f64)
-        );
-        assert_eq!(
-            extract_number(&json, "traffic", "hash_lo"),
-            Some(0x1234_5678u32 as f64)
-        );
-        assert_eq!(extract_number(&json, "nope", "speedup"), None);
-        assert_eq!(extract_number(&json, "prepared_serving", "nope"), None);
+        }
     }
 
     #[test]
-    fn legacy_alias_baseline_matches_production_constructor() {
-        // The retained baseline and the production path must build the
-        // same table bit for bit — the baseline is a parity oracle, not
-        // just a stopwatch target.
-        let weights: Vec<f64> = (0..5_000).map(|i| ((i * 31) % 97) as f64 / 97.0).collect();
-        let (accept, alias, probs) = legacy_alias_table(&weights);
-        let table = AliasTable::new(&weights);
-        assert_eq!(accept.as_slice(), table.accept());
-        assert_eq!(alias.as_slice(), table.aliases());
-        for (i, &p) in probs.iter().enumerate() {
-            assert_eq!(p.to_bits(), table.prob(i).to_bits(), "prob {i}");
-        }
+    fn json_round_trips_through_extract() {
+        let json = fixture().to_json();
+        let read = |section: &str, key: &str| extract_number(&json, section, key);
+        assert_eq!(read("threshold_search", "s"), Some(10_000.0));
+        assert_eq!(read("threshold_search", "speedup"), Some(25.0));
+        assert_eq!(read("recall_threshold", "speedup"), Some(4.5));
+        assert_eq!(read("resilience", "transient_rate"), Some(0.01));
+        assert_eq!(read("resilience", "retries"), Some(80.0));
+        assert_eq!(read("resilience", "overhead"), Some(1.25));
+        assert_eq!(read("materialization", "speedup"), Some(50.0));
+        assert_eq!(read("materialization", "k"), Some(10_000.0));
+        assert_eq!(read("cold_build", "speedup"), Some(3.0));
+        assert_eq!(read("cold_build", "workers"), Some(8.0));
+        assert_eq!(read("planner", "small_n"), Some((1u64 << 16) as f64));
+        assert_eq!(read("planner", "ratio_cold_small_fast"), Some(1.0));
+        assert_eq!(read("planner", "auto_cold_huge_slow_ns"), Some(2.1e6));
+        assert_eq!(read("planner", "hand_cold_huge_slow_ns"), Some(2e6));
+        assert_eq!(read("planner", "worst_ratio"), Some(1.05));
+        assert_eq!(read("segmented", "segment_size"), Some((1u64 << 20) as f64));
+        assert_eq!(read("segmented", "cdf_build_speedup"), Some(3.0));
+        assert_eq!(read("segmented", "search_speedup"), Some(500.0));
+        assert_eq!(read("serving", "cores"), Some(8.0));
+        assert_eq!(read("serving", "qps_c1"), Some(500.0));
+        assert_eq!(read("serving", "qps_c2"), Some(900.0));
+        assert_eq!(read("serving", "qps_c4"), Some(1_500.0));
+        assert_eq!(read("serving", "p99_c4_ns"), Some(4e6));
+        assert_eq!(read("serving", "scaling_4v1"), Some(3.0));
+        assert_eq!(read("serving", "scaling_efficiency"), Some(0.75));
+        // A key is looked up only inside its own section.
+        assert_eq!(read("cold_build", "search_speedup"), None);
+        assert_eq!(read("nope", "speedup"), None);
+    }
+
+    #[test]
+    fn committed_baseline_has_the_writers_shape() {
+        // `--check` fails on a missing gate key, so the committed file
+        // must carry every key the writer emits, in the writer's order.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_selectors.json");
+        let committed = std::fs::read_to_string(path).expect("committed baseline");
+        let keys = |json: &str| -> Vec<String> {
+            json.lines()
+                .map(|line| line.split(':').next().unwrap_or("").trim().to_string())
+                .collect()
+        };
+        assert_eq!(keys(committed.trim_end()), keys(&fixture().to_json()));
+        assert!(committed.contains("\"schema\": \"supg-bench/9\""));
+    }
+
+    #[test]
+    fn gates_fail_on_a_doubling_in_the_wrong_direction() {
+        let gate = |current, better| Gate {
+            section: "s",
+            key: "k",
+            current,
+            better,
+        };
+        assert!(!gate(5.0, Better::Higher).regressed(10.0));
+        assert!(gate(4.9, Better::Higher).regressed(10.0));
+        assert!(!gate(20.0, Better::Lower).regressed(10.0));
+        assert!(gate(20.1, Better::Lower).regressed(10.0));
     }
 
     #[test]

@@ -28,10 +28,7 @@
 //! The planner **never selects a configuration slower than serial**:
 //! chunked builds are only chosen when the calibration *measured* them
 //! faster than the serial build on this machine ([`planned_chunks`]).
-//! On a single-core box the chunk count is always 1, which is what fixes
-//! the `cold_build.speedup = 0.79` regression the hand-tuned "8 workers"
-//! default produced — there is no configuration the planner can pick
-//! that loses to the serial baseline by construction.
+//! On a single-core machine the chunk count is always 1.
 //!
 //! # Determinism
 //!

@@ -331,3 +331,82 @@ fn error_messages_name_the_fix() {
     .to_string()
     .contains("RECALL"));
 }
+
+#[test]
+fn degenerate_corpora_return_typed_results_never_panics() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use supg_core::selectors::SelectorConfig;
+    use supg_core::{SamplerStrategy, SegmentedDataset};
+
+    let corpora: [(&str, Vec<f64>); 4] = [
+        ("n=1", vec![0.5]),
+        ("n=2", vec![0.2, 0.8]),
+        ("all 0.0", vec![0.0; 50]),
+        ("all 1.0", vec![1.0; 50]),
+    ];
+    // (label, session builder, budget or JT stage budget).
+    type Query = Box<dyn Fn(SupgSession<'_>) -> SupgSession<'_>>;
+    let mut queries: Vec<(String, Query, usize)> = Vec::new();
+    for (kind, target) in SelectorKind::registry() {
+        for budget in [2, 1_000] {
+            let query: Query = Box::new(move |s| {
+                let s = match target {
+                    TargetKind::Recall => s.recall(0.9),
+                    TargetKind::Precision => s.precision(0.9),
+                };
+                s.selector(kind).budget(budget)
+            });
+            queries.push((
+                format!("{kind:?}/{target:?} budget {budget}"),
+                query,
+                budget,
+            ));
+        }
+    }
+    for stage in [2, 1_000] {
+        let query: Query = Box::new(move |s| s.recall(0.9).precision(0.9).joint(stage));
+        queries.push((format!("JT joint({stage})"), query, stage));
+    }
+
+    let mut panics = Vec::new();
+    for (corpus, scores) in &corpora {
+        let labels: Vec<bool> = (0..scores.len()).map(|i| i % 2 == 0).collect();
+        let flat = ScoredDataset::new(scores.clone()).unwrap();
+        let segmented = SegmentedDataset::new(scores.clone(), 1).unwrap();
+        for (label, query, bound) in &queries {
+            for sampler in [SamplerStrategy::Alias, SamplerStrategy::Cdf] {
+                for mix in [0.0, SelectorConfig::default().uniform_mix] {
+                    let config = SelectorConfig::default().with_mix(mix);
+                    for (layout, session) in [
+                        ("flat", SupgSession::over(&flat)),
+                        ("segmented", SupgSession::over(&segmented)),
+                    ] {
+                        let case = format!("{corpus} {layout} {label} {sampler:?} mix {mix}");
+                        let session =
+                            query(session.selector_config(config)).sampler_strategy(sampler);
+                        let mut oracle = CachedOracle::from_labels(labels.clone(), *bound);
+                        let run = catch_unwind(AssertUnwindSafe(|| session.run(&mut oracle)));
+                        match run {
+                            Err(_) => panics.push(case),
+                            Ok(Ok(outcome)) => {
+                                // The JT filter labels at most every
+                                // record on top of the stage.
+                                let limit = if outcome.joint {
+                                    assert!(outcome.stage_calls <= *bound, "{case}");
+                                    bound + scores.len()
+                                } else {
+                                    *bound
+                                };
+                                assert!(outcome.oracle_calls <= limit, "{case}");
+                                assert!(oracle.calls_used() <= limit, "{case}");
+                            }
+                            // Any typed error is an acceptable answer.
+                            Ok(Err(_)) => {}
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(panics.is_empty(), "panicked: {panics:#?}");
+}

@@ -355,6 +355,63 @@ mod tests {
         }
     }
 
+    /// The textbook Vose construction, kept self-contained as a parity
+    /// reference: one validation and sum pass, separate normalize and
+    /// scale passes, a partition scan into growing stacks, then the
+    /// pairing loop writing a fresh acceptance array slot by slot.
+    /// Returns `(accept, alias, probs)`.
+    fn vose_reference(weights: &[f64]) -> (Vec<f64>, Vec<u32>, Vec<f64>) {
+        assert!(!weights.is_empty(), "AliasTable: empty weights");
+        let total: f64 = weights
+            .iter()
+            .map(|&w| {
+                assert!(w.is_finite() && w >= 0.0, "AliasTable: bad weight {w}");
+                w
+            })
+            .sum();
+        assert!(total > 0.0, "AliasTable: weights sum to zero");
+        let n = weights.len();
+        let probs: Vec<f64> = weights.iter().map(|&w| w / total).collect();
+        let mut scaled: Vec<f64> = probs.iter().map(|&p| p * n as f64).collect();
+        let mut small: Vec<u32> = Vec::new();
+        let mut large: Vec<u32> = Vec::new();
+        for (i, &s) in scaled.iter().enumerate() {
+            if s < 1.0 {
+                small.push(i as u32);
+            } else {
+                large.push(i as u32);
+            }
+        }
+        let mut accept = vec![1.0_f64; n];
+        let mut alias = vec![0_u32; n];
+        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
+            accept[s as usize] = scaled[s as usize];
+            alias[s as usize] = l;
+            scaled[l as usize] = (scaled[l as usize] + scaled[s as usize]) - 1.0;
+            if scaled[l as usize] < 1.0 {
+                small.push(l);
+            } else {
+                large.push(l);
+            }
+        }
+        for i in small.into_iter().chain(large) {
+            accept[i as usize] = 1.0;
+        }
+        (accept, alias, probs)
+    }
+
+    #[test]
+    fn new_matches_the_textbook_vose_reference_bitwise() {
+        let weights: Vec<f64> = (0..5_000).map(|i| ((i * 31) % 97) as f64 / 97.0).collect();
+        let (accept, alias, probs) = vose_reference(&weights);
+        let table = AliasTable::new(&weights);
+        assert_eq!(accept.as_slice(), table.accept());
+        assert_eq!(alias.as_slice(), table.aliases());
+        for (i, &p) in probs.iter().enumerate() {
+            assert_eq!(p.to_bits(), table.prob(i).to_bits(), "prob {i}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "sum to zero")]
     fn rejects_all_zero_weights() {

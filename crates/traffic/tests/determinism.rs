@@ -52,29 +52,37 @@ fn different_seeds_diverge() {
 
 #[test]
 fn quick_shape_exercises_the_admission_machinery() {
-    let r = run(&TrafficConfig::quick(7));
-    assert_eq!(
-        r.completed + r.failed + r.shed_overload + r.shed_budget + r.shed_circuit,
-        r.queries,
-        "every arrival must be accounted exactly once"
-    );
-    assert!(r.completed > r.queries / 2, "most queries should complete");
-    assert!(r.failed > 0, "permanent-fault arrivals must surface");
-    assert!(
-        r.oracle_retries > 0,
-        "transient faults must exercise retries"
-    );
-    assert!(
-        r.cache_hits > 0,
-        "Zipf-skewed recipes must produce artifact reuse"
-    );
-    assert!(
-        r.planned == r.completed,
-        "served queries always carry a plan"
-    );
-    assert!(r.by_kind.iter().sum::<u64>() == r.completed);
-    assert!(r.by_kind[0] > 0 && r.by_kind[1] > 0 && r.by_kind[2] > 0);
-    assert!(r.virtual_makespan_ns > 0);
+    // 0x5097_2020 is the seed of the `traffic_smoke` CI binary.
+    for seed in [7, 0x5097_2020] {
+        let r = run(&TrafficConfig::quick(seed));
+        assert_eq!(
+            r.completed + r.failed + r.shed_overload + r.shed_budget + r.shed_circuit,
+            r.queries,
+            "every arrival must be accounted exactly once"
+        );
+        assert!(
+            r.completed > r.queries / 2,
+            "seed {seed:#x}: most queries should complete ({} of {})",
+            r.completed,
+            r.queries
+        );
+        assert!(r.failed > 0, "permanent-fault arrivals must surface");
+        assert!(
+            r.oracle_retries > 0,
+            "transient faults must exercise retries"
+        );
+        assert!(
+            r.cache_hits > 0,
+            "Zipf-skewed recipes must produce artifact reuse"
+        );
+        assert!(
+            r.planned == r.completed,
+            "served queries always carry a plan"
+        );
+        assert!(r.by_kind.iter().sum::<u64>() == r.completed);
+        assert!(r.by_kind[0] > 0 && r.by_kind[1] > 0 && r.by_kind[2] > 0);
+        assert!(r.virtual_makespan_ns > 0);
+    }
 }
 
 #[test]

@@ -260,9 +260,8 @@
 //! assert_eq!(run(&config).hash(), report.hash()); // bit-identical replay
 //! ```
 //!
-//! The `traffic` section of `BENCH_selectors.json` records a replayed
-//! run (and gates on the replay staying bit-identical); CI runs the
-//! same smoke via the `traffic_smoke` binary.
+//! CI replays the quick workload twice through the `traffic_smoke`
+//! binary and fails unless both runs hash identically.
 
 pub use supg_core as core;
 pub use supg_datasets as datasets;
