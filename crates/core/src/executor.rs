@@ -325,11 +325,27 @@ impl<'a> ResultView<'a> {
         walk.chain(self.extras.iter().copied())
     }
 
+    /// The record indices in [`iter`](ResultView::iter) order as one
+    /// owned vector, allocated once at [`len`](ResultView::len) and filled
+    /// by typed `extend`s of the prefix (or its kept positions) and the
+    /// extras — the materialization [`to_result`](ResultView::to_result)
+    /// and the joint query's candidate batch share.
+    pub fn to_vec(&self) -> Vec<usize> {
+        let prefix = self.prefix.as_slice();
+        let mut out = Vec::with_capacity(self.len());
+        match &self.kept {
+            Some(kept) => out.extend(kept.iter().map(|&p| prefix[p as usize] as usize)),
+            None => out.extend(prefix.iter().map(|&i| i as usize)),
+        }
+        out.extend_from_slice(&self.extras);
+        out
+    }
+
     /// Materializes the owned [`SelectionResult`] — the one O(k) copy
     /// this view exists to defer, bit-identical to what the non-streaming
     /// pipeline returns.
     pub fn to_result(&self) -> SelectionResult {
-        SelectionResult::from_ranked(self.iter().collect())
+        SelectionResult::from_ranked(self.to_vec())
     }
 }
 

@@ -20,8 +20,22 @@
 //! [`CachedOracle::parallel`] — executes cache misses on the
 //! [`crate::runtime`] worker pool under the session's
 //! [`RuntimeConfig`](crate::runtime::RuntimeConfig).
-
-use std::collections::{HashMap, HashSet};
+//!
+//! # The label cache
+//!
+//! [`CachedOracle`] keeps what it knows about each record in two bits,
+//! one of four states: *unknown*, *false*, *true*, or *planned*. A
+//! batch that fans out over worker threads first marks its distinct
+//! misses planned — which also dedupes the batch — and resolves every
+//! one of them before it returns; a sequential batch is the
+//! record-by-record loop itself and plans nothing. The bits live in
+//! pages of 4Ki records — 1 KiB, held as `[u64; 128]` — allocated on
+//! first touch and found through a directory `Vec` that grows only as
+//! far as the highest page touched. Keys are full `usize` record
+//! indices. Memory is therefore 1 KiB per touched page plus 8 B per 4Ki
+//! records of directory: about 250 KB for every record of a 10⁶-record
+//! corpus, and about 3 MB for 1,000 labels spread over 10⁹ records,
+//! where a dense byte per record would take 1 GB.
 
 use crate::error::SupgError;
 use crate::fault::RetryStats;
@@ -224,6 +238,157 @@ enum Source {
     Shared(Box<dyn Fn(usize) -> bool + Send + Sync>),
 }
 
+/// Records per page of a [`LabelTable`].
+const PAGE_RECORDS: usize = 1 << 12;
+
+/// Two-bit states per `u64` word.
+const STATES_PER_WORD: usize = 32;
+
+/// One page: 4Ki two-bit states, 1 KiB.
+type Page = [u64; PAGE_RECORDS / STATES_PER_WORD];
+
+/// What the label cache knows about one record (two bits).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LabelState {
+    Unknown = 0,
+    False = 1,
+    True = 2,
+    /// A miss of the batch being labeled; resolved to `False`/`True`
+    /// (or back to `Unknown` if the source panics) before it returns.
+    Planned = 3,
+}
+
+impl LabelState {
+    fn known(label: bool) -> Self {
+        if label {
+            Self::True
+        } else {
+            Self::False
+        }
+    }
+
+    fn label(self) -> Option<bool> {
+        match self {
+            Self::False => Some(false),
+            Self::True => Some(true),
+            Self::Unknown | Self::Planned => None,
+        }
+    }
+}
+
+/// The [`CachedOracle`] label cache: two bits per record in 4Ki-record
+/// pages, allocated on first touch (see the module docs).
+struct LabelTable {
+    /// Page `p` covers records `p * PAGE_RECORDS ..`; `None` until a
+    /// record on it is first written.
+    pages: Vec<Option<Box<Page>>>,
+    /// Pages the oracle's records span: the directory never grows past
+    /// this.
+    max_pages: usize,
+}
+
+impl LabelTable {
+    fn new(len: usize) -> Self {
+        Self {
+            pages: Vec::new(),
+            max_pages: len.div_ceil(PAGE_RECORDS),
+        }
+    }
+
+    #[inline]
+    fn get(&self, index: usize) -> LabelState {
+        let Some(Some(page)) = self.pages.get(index / PAGE_RECORDS) else {
+            return LabelState::Unknown;
+        };
+        let slot = index % PAGE_RECORDS;
+        match (page[slot / STATES_PER_WORD] >> (2 * (slot % STATES_PER_WORD))) & 3 {
+            0 => LabelState::Unknown,
+            1 => LabelState::False,
+            2 => LabelState::True,
+            _ => LabelState::Planned,
+        }
+    }
+
+    /// Writes `index`'s state. The caller has checked `index < len`.
+    #[inline]
+    fn set(&mut self, index: usize, state: LabelState) {
+        let p = index / PAGE_RECORDS;
+        if !matches!(self.pages.get(p), Some(Some(_))) {
+            self.touch(p);
+        }
+        let page = self.pages[p].as_mut().expect("page allocated above");
+        let slot = index % PAGE_RECORDS;
+        let shift = 2 * (slot % STATES_PER_WORD);
+        let word = &mut page[slot / STATES_PER_WORD];
+        *word = (*word & !(3 << shift)) | ((state as u64) << shift);
+    }
+
+    /// Allocates page `p`, first growing the directory to reach it.
+    #[cold]
+    #[inline(never)]
+    fn touch(&mut self, p: usize) {
+        if p >= self.pages.len() {
+            // Amortized growth, capped at the pages `len` spans, so the
+            // directory never holds more than 8 B per 4Ki records.
+            let want = (p + 1).max(2 * self.pages.len()).min(self.max_pages);
+            self.pages.reserve_exact(want - self.pages.len());
+            self.pages.resize_with(p + 1, || None);
+        }
+        // `vec!` of zeros allocates zeroed memory directly, with no 1 KiB
+        // stack temporary.
+        let page = vec![0; PAGE_RECORDS / STATES_PER_WORD]
+            .into_boxed_slice()
+            .try_into()
+            .expect("one page of words");
+        self.pages[p] = Some(page);
+    }
+
+    /// Ascending indices of the records in state `True`.
+    fn positives(&self) -> Vec<usize> {
+        const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+        let mut out = Vec::new();
+        for (p, page) in self.pages.iter().enumerate() {
+            let Some(page) = page else { continue };
+            for (w, &word) in page.iter().enumerate() {
+                // `True` is 0b10: high bit set, low bit clear.
+                let mut hits = (word >> 1) & !word & LOW_BITS;
+                while hits != 0 {
+                    let slot = w * STATES_PER_WORD + hits.trailing_zeros() as usize / 2;
+                    out.push(p * PAGE_RECORDS + slot);
+                    hits &= hits - 1;
+                }
+            }
+        }
+        out
+    }
+}
+
+/// The misses of one batch, marked [`LabelState::Planned`] in the table
+/// until [`resolve`](PlannedBatch::resolve) writes their labels. If the
+/// source panics first, dropping the batch puts them back to `Unknown`,
+/// so a planned entry never outlives its batch.
+struct PlannedBatch<'t> {
+    table: &'t mut LabelTable,
+    misses: Vec<usize>,
+}
+
+impl PlannedBatch<'_> {
+    fn resolve(mut self, labels: &[bool]) {
+        for (&index, &label) in self.misses.iter().zip(labels) {
+            self.table.set(index, LabelState::known(label));
+        }
+        self.misses.clear();
+    }
+}
+
+impl Drop for PlannedBatch<'_> {
+    fn drop(&mut self) {
+        for &index in &self.misses {
+            self.table.set(index, LabelState::Unknown);
+        }
+    }
+}
+
 /// A budgeted oracle wrapping a user-provided labeling function, with a
 /// label cache so repeated draws of the same record are free.
 ///
@@ -233,10 +398,17 @@ enum Source {
 /// batches on the worker pool configured via
 /// [`CachedOracle::with_runtime`] (or a session's
 /// `.parallelism(n).batch_size(b)`).
+///
+/// The cache is a paged bit table keyed by the full record index: two
+/// bits per record (unknown / false / true / planned) in 1 KiB pages of
+/// 4Ki records, allocated on first touch. It costs 1 KiB per touched
+/// page plus 8 B of directory per 4Ki records up to the highest page
+/// touched — at most about 250 KB over 10⁶ records (see the
+/// [module docs](crate::oracle)).
 pub struct CachedOracle {
     source: Source,
     len: usize,
-    cache: HashMap<u32, bool>,
+    labels: LabelTable,
     used: usize,
     budget: usize,
     runtime: RuntimeConfig,
@@ -274,7 +446,7 @@ impl CachedOracle {
         Self {
             source: Source::Serial(Box::new(source)),
             len,
-            cache: HashMap::new(),
+            labels: LabelTable::new(len),
             used: 0,
             budget,
             runtime: RuntimeConfig::default(),
@@ -297,7 +469,7 @@ impl CachedOracle {
         Self {
             source: Source::Shared(Box::new(source)),
             len,
-            cache: HashMap::new(),
+            labels: LabelTable::new(len),
             used: 0,
             budget,
             runtime: RuntimeConfig::default(),
@@ -332,79 +504,90 @@ impl CachedOracle {
     /// Returns the cached label for `index` without consuming budget, if
     /// that record has been labeled before.
     pub fn cached(&self, index: usize) -> Option<bool> {
-        self.cache.get(&(index as u32)).copied()
+        self.labels.get(index).label()
     }
 
     /// Record indices labeled so far that turned out positive.
     pub fn known_positives(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .cache
-            .iter()
-            .filter(|&(_, &l)| l)
-            .map(|(&i, _)| i as usize)
-            .collect();
-        out.sort_unstable();
-        out
+        self.labels.positives()
     }
 
-    /// Walks `indices` in order and collects the distinct cache misses that
-    /// fit in the remaining budget, mirroring exactly where the sequential
-    /// loop would stop: the returned error (if any) is what record-by-record
-    /// labeling would have hit, after caching everything before it.
-    fn plan_batch(&self, indices: &[usize]) -> (Vec<usize>, Option<SupgError>) {
-        let mut misses = Vec::new();
-        let mut planned = HashSet::new();
-        for &idx in indices {
-            if idx >= self.len {
-                return (
-                    misses,
-                    Some(SupgError::IndexOutOfRange {
-                        index: idx,
-                        len: self.len,
-                    }),
-                );
-            }
-            if self.cache.contains_key(&(idx as u32)) || planned.contains(&idx) {
-                continue;
-            }
-            if self.used + misses.len() >= self.budget {
-                return (
-                    misses,
-                    Some(SupgError::BudgetExhausted {
-                        budget: self.budget,
-                    }),
-                );
-            }
-            planned.insert(idx);
-            misses.push(idx);
-        }
-        (misses, None)
+    /// Heap bytes held by the label cache: the directory's capacity plus
+    /// the allocated pages.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let pages = &self.labels.pages;
+        pages.capacity() * std::mem::size_of::<Option<Box<Page>>>()
+            + pages.iter().flatten().count() * std::mem::size_of::<Page>()
     }
+}
+
+/// One step of the sequential labeling loop: `index`'s cached label, or
+/// one budgeted call of `source` whose answer is cached.
+#[inline(always)]
+fn label_one(
+    labels: &mut LabelTable,
+    used: &mut usize,
+    budget: usize,
+    len: usize,
+    index: usize,
+    source: impl FnOnce(usize) -> bool,
+) -> Result<bool, SupgError> {
+    if index >= len {
+        return Err(SupgError::IndexOutOfRange { index, len });
+    }
+    if let Some(cached) = labels.get(index).label() {
+        return Ok(cached);
+    }
+    if *used >= budget {
+        return Err(SupgError::BudgetExhausted { budget });
+    }
+    let label = source(index);
+    labels.set(index, LabelState::known(label));
+    *used += 1;
+    Ok(label)
+}
+
+/// Walks `indices` in order and marks the distinct cache misses that fit
+/// in the remaining budget planned, mirroring exactly where the
+/// sequential loop would stop: the returned error (if any) is what
+/// record-by-record labeling would have hit, after caching everything
+/// before it.
+fn plan_batch<'t>(
+    table: &'t mut LabelTable,
+    indices: &[usize],
+    len: usize,
+    used: usize,
+    budget: usize,
+) -> (PlannedBatch<'t>, Option<SupgError>) {
+    let mut batch = PlannedBatch {
+        table,
+        misses: Vec::new(),
+    };
+    for &idx in indices {
+        if idx >= len {
+            return (batch, Some(SupgError::IndexOutOfRange { index: idx, len }));
+        }
+        if batch.table.get(idx) != LabelState::Unknown {
+            continue;
+        }
+        if used + batch.misses.len() >= budget {
+            return (batch, Some(SupgError::BudgetExhausted { budget }));
+        }
+        batch.table.set(idx, LabelState::Planned);
+        batch.misses.push(idx);
+    }
+    (batch, None)
 }
 
 impl Oracle for CachedOracle {
     fn label(&mut self, index: usize) -> Result<bool, SupgError> {
-        if index >= self.len {
-            return Err(SupgError::IndexOutOfRange {
-                index,
-                len: self.len,
-            });
+        let (labels, used) = (&mut self.labels, &mut self.used);
+        let (budget, len) = (self.budget, self.len);
+        match &mut self.source {
+            Source::Serial(f) => label_one(labels, used, budget, len, index, f),
+            Source::Shared(f) => label_one(labels, used, budget, len, index, f),
         }
-        if let Some(&cached) = self.cache.get(&(index as u32)) {
-            return Ok(cached);
-        }
-        if self.used >= self.budget {
-            return Err(SupgError::BudgetExhausted {
-                budget: self.budget,
-            });
-        }
-        let label = match &mut self.source {
-            Source::Serial(f) => f(index),
-            Source::Shared(f) => f(index),
-        };
-        self.cache.insert(index as u32, label);
-        self.used += 1;
-        Ok(label)
     }
 
     fn calls_used(&self) -> usize {
@@ -418,24 +601,42 @@ impl Oracle for CachedOracle {
     fn label_batch_native(&mut self, indices: &[usize]) -> Option<Result<Vec<bool>, SupgError>> {
         // Serial (FnMut) sources cannot be called from worker threads; let
         // the blanket impl label them record by record.
-        let Source::Shared(source) = &self.source else {
+        let CachedOracle {
+            source: Source::Shared(source),
+            len,
+            labels,
+            used,
+            budget,
+            runtime,
+        } = self
+        else {
             return None;
         };
-        let (misses, err) = self.plan_batch(indices);
+        // With no workers to hand misses to, the batch is the sequential
+        // loop itself: no planning pass and no miss list.
+        if runtime.is_sequential() {
+            let mut out = Vec::with_capacity(indices.len());
+            for &index in indices {
+                match label_one(labels, used, *budget, *len, index, &**source) {
+                    Ok(label) => out.push(label),
+                    Err(e) => return Some(Err(e)),
+                }
+            }
+            return Some(Ok(out));
+        }
+        let (batch, err) = plan_batch(labels, indices, *len, *used, *budget);
         // The misses are distinct uncached records within budget; their
         // labels are a pure function of the index, so the pool may compute
         // them in any order.
-        let labels = parallel_map(&self.runtime, &misses, |&i| source(i));
-        for (&idx, &label) in misses.iter().zip(&labels) {
-            self.cache.insert(idx as u32, label);
-            self.used += 1;
-        }
+        let fresh = parallel_map(runtime, &batch.misses, |&i| source(i));
+        *used += fresh.len();
+        batch.resolve(&fresh);
         if let Some(e) = err {
             return Some(Err(e));
         }
         Some(Ok(indices
             .iter()
-            .map(|&i| *self.cache.get(&(i as u32)).expect("labeled above"))
+            .map(|&i| labels.get(i) == LabelState::True)
             .collect()))
     }
 
@@ -659,6 +860,90 @@ mod tests {
         assert!(o.label_batch_native(&[0, 1]).is_none());
         // …but the blanket batch API still works.
         assert_eq!(o.label_batch(&[0, 1, 2]).unwrap(), vec![true, false, true]);
+        assert_eq!(o.calls_used(), 3);
+    }
+
+    #[test]
+    fn cache_keys_are_full_record_indices() {
+        // Two records, one labeled: no index past `len` reads as cached,
+        // least of all one that agrees with record 0 in its low 32 bits.
+        let mut o = CachedOracle::from_labels(vec![true, false], 10);
+        assert!(o.label(0).unwrap());
+        for i in [2, 1 << 20, usize::MAX] {
+            assert_eq!(o.cached(i), None, "record {i}");
+        }
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn records_past_u32_range_are_labeled_and_charged_separately() {
+        // Record 2³² + k must call the oracle and pay for it, not reuse
+        // record k's label — on the per-record and both batch paths.
+        let far = 1usize << 32;
+        let mut o = CachedOracle::from_labels(vec![true, false], 10);
+        assert!(o.label(0).unwrap());
+        assert_eq!(o.cached(far), None);
+
+        let truth = move |i: usize| i < far;
+        let serial = CachedOracle::new(far * 2, 10, truth);
+        let shared = CachedOracle::parallel(far * 2, 10, truth);
+        for (name, mut o) in [("serial", serial), ("shared", shared)] {
+            assert!(o.label(5).unwrap());
+            assert!(!o.label(far + 5).unwrap(), "{name}");
+            assert_eq!(o.calls_used(), 2, "{name}");
+            assert_eq!(o.cached(far + 5), Some(false), "{name}");
+            for parallelism in [1, 4] {
+                o.configure_runtime(RuntimeConfig::default().with_parallelism(parallelism));
+                let got = o.label_batch(&[7, far + 7 + parallelism]).unwrap();
+                assert_eq!(got, vec![true, false], "{name} p={parallelism}");
+            }
+            assert_eq!(o.calls_used(), 5, "{name}");
+            assert_eq!(o.known_positives(), vec![5, 7], "{name}");
+        }
+    }
+
+    #[test]
+    fn cache_memory_stays_within_its_bound() {
+        // 1,000 labels spread over 10⁹ records: 1,000 pages plus the
+        // directory up to the highest page touched (≈ 3 MB).
+        let n = 1_000_000_000;
+        let spread: Vec<usize> = (0..1_000).map(|k| k * (n / 1_000) + k).collect();
+        let mut o = CachedOracle::new(n, 1_000, |i| i % 3 == 0);
+        o.label_batch(&spread).unwrap();
+        assert_eq!(o.calls_used(), 1_000);
+        assert!(o.heap_bytes() <= 4_000_000, "{} bytes", o.heap_bytes());
+
+        // A joint-query-sized filter batch touching every page of a
+        // 10⁶-record corpus: 245 pages of 1 KiB plus 2 KB of directory.
+        let n = 1_000_000;
+        let candidates: Vec<usize> = (0..n).step_by(8).collect();
+        let mut o = CachedOracle::parallel(n, usize::MAX, |i| i % 3 == 0);
+        o.label_batch(&candidates).unwrap();
+        assert_eq!(o.calls_used(), candidates.len());
+        assert!(o.heap_bytes() <= 260_000, "{} bytes", o.heap_bytes());
+    }
+
+    #[test]
+    fn a_panicking_source_leaves_no_planned_records() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut o = CachedOracle::parallel(64, 64, |i| {
+            assert_ne!(i, 13, "source fails on record 13");
+            i % 2 == 0
+        })
+        .with_runtime(
+            RuntimeConfig::default()
+                .with_parallelism(4)
+                .with_batch_size(1),
+        );
+        let crashed = catch_unwind(AssertUnwindSafe(|| o.label_batch(&[1, 2, 13, 4])));
+        assert!(crashed.is_err());
+        // Nothing of the crashed batch is cached or charged, and the
+        // records it planned label normally afterwards.
+        assert_eq!(o.calls_used(), 0);
+        for i in 0..64 {
+            assert_eq!(o.cached(i), None, "record {i}");
+        }
+        assert_eq!(o.label_batch(&[1, 2, 4]).unwrap(), vec![false, true, true]);
         assert_eq!(o.calls_used(), 3);
     }
 

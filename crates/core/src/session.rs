@@ -970,7 +970,7 @@ fn exec_joint_stages<'v>(
     // labels the candidate set on its worker pool.
     let filter_start = Instant::now();
     oracle.set_budget(usize::MAX);
-    let candidates: Vec<usize> = stage.result.iter().collect();
+    let candidates = stage.result.to_vec();
     let labels = oracle.label_batch(&candidates)?;
     drop(candidates);
     // Keeping a subsequence of the duplicate-free ranked candidates

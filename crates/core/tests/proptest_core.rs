@@ -1,10 +1,12 @@
 //! Property-based tests for the SUPG core invariants.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use supg_core::selectors::SelectorConfig;
 use supg_core::{
-    ApproxQuery, CachedOracle, Oracle, OracleSample, ScoredDataset, SelectorKind, SupgSession,
-    TargetKind,
+    ApproxQuery, BatchOracle, CachedOracle, Oracle, OracleSample, RuntimeConfig, ScoredDataset,
+    SelectorKind, SupgError, SupgSession, TargetKind,
 };
 
 /// Strategy: a small dataset of (score, label) pairs with at least one
@@ -17,6 +19,122 @@ fn dataset_strategy() -> impl Strategy<Value = (Vec<f64>, Vec<bool>)> {
 /// Every registry entry as `(kind, target)` pairs.
 fn all_registry_pairs() -> Vec<(SelectorKind, TargetKind)> {
     SelectorKind::registry().collect()
+}
+
+/// One step against a [`CachedOracle`].
+#[derive(Debug, Clone)]
+enum OracleOp {
+    Label(usize),
+    Batch(Vec<usize>),
+    SetBudget(usize),
+}
+
+/// Strategy: single labels, batches over (and past) the record range,
+/// duplicate-heavy batches, and budget changes.
+fn oracle_op() -> impl Strategy<Value = OracleOp> {
+    prop_oneof![
+        (0usize..64).prop_map(OracleOp::Label),
+        prop::collection::vec(0usize..64, 0..40).prop_map(OracleOp::Batch),
+        prop::collection::vec(0usize..6, 0..20).prop_map(OracleOp::Batch),
+        (0usize..48).prop_map(OracleOp::SetBudget),
+    ]
+}
+
+/// The labels behind every oracle in the model test: a pure function of
+/// the index.
+fn model_truth(i: usize) -> bool {
+    (i * 7_919) % 5 < 2
+}
+
+/// Reference model of [`CachedOracle`]: a plain map, labeled strictly
+/// record by record.
+struct ModelOracle {
+    len: usize,
+    budget: usize,
+    used: usize,
+    cache: HashMap<usize, bool>,
+}
+
+impl ModelOracle {
+    fn label(&mut self, index: usize) -> Result<bool, SupgError> {
+        if index >= self.len {
+            return Err(SupgError::IndexOutOfRange {
+                index,
+                len: self.len,
+            });
+        }
+        if let Some(&label) = self.cache.get(&index) {
+            return Ok(label);
+        }
+        if self.used >= self.budget {
+            return Err(SupgError::BudgetExhausted {
+                budget: self.budget,
+            });
+        }
+        let label = model_truth(index);
+        self.cache.insert(index, label);
+        self.used += 1;
+        Ok(label)
+    }
+
+    fn known_positives(&self) -> Vec<usize> {
+        let mut out: Vec<usize> = self
+            .cache
+            .iter()
+            .filter(|&(_, &label)| label)
+            .map(|(&i, _)| i)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn cached_oracle_matches_a_hash_map_model(
+        len in 1usize..60,
+        budget in 0usize..48,
+        ops in prop::collection::vec(oracle_op(), 1..30),
+    ) {
+        // Serial and shared sources, sequential and on a 4-worker pool
+        // with batches small enough to span many workers.
+        for (shared, parallelism) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+            let runtime = RuntimeConfig::default()
+                .with_parallelism(parallelism)
+                .with_batch_size(3);
+            let oracle = if shared {
+                CachedOracle::parallel(len, budget, model_truth)
+            } else {
+                CachedOracle::new(len, budget, model_truth)
+            };
+            let mut oracle = oracle.with_runtime(runtime);
+            let mut model = ModelOracle { len, budget, used: 0, cache: HashMap::new() };
+            let case = format!("shared={shared} p={parallelism}");
+            for op in &ops {
+                match op {
+                    OracleOp::Label(i) => {
+                        prop_assert_eq!(oracle.label(*i), model.label(*i), "{} {:?}", case, op);
+                    }
+                    OracleOp::Batch(batch) => {
+                        let expected: Result<Vec<bool>, SupgError> =
+                            batch.iter().map(|&i| model.label(i)).collect();
+                        prop_assert_eq!(oracle.label_batch(batch), expected, "{} {:?}", case, op);
+                    }
+                    OracleOp::SetBudget(b) => {
+                        oracle.set_budget(*b);
+                        model.budget = *b;
+                    }
+                }
+                prop_assert_eq!(oracle.calls_used(), model.used, "{} {:?}", case, op);
+                for i in 0..len + 8 {
+                    prop_assert_eq!(oracle.cached(i), model.cache.get(&i).copied(), "{} record {}", case, i);
+                }
+                prop_assert_eq!(oracle.known_positives(), model.known_positives(), "{}", case);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -1,7 +1,7 @@
 //! Robust-serving integration: circuit-breaker lifecycle, zero-cost
 //! shedding, deadline enforcement, retry-through-the-server parity,
 //! budget safety on panic paths, and typed errors (never panics) for
-//! hostile selector configurations.
+//! hostile selector configurations and hostile query specs.
 //!
 //! Failures are produced by the deterministic fault layer in
 //! `supg_core::fault`, so every lifecycle transition here is replayable:
@@ -13,7 +13,8 @@ use std::time::Duration;
 
 use supg_core::selectors::SelectorConfig;
 use supg_core::{
-    CachedOracle, FaultPlan, FaultyOracle, Oracle, ScoredDataset, SupgError, SupgSession,
+    CachedOracle, FaultPlan, FaultyOracle, Oracle, SamplerStrategy, ScoredDataset, SupgError,
+    SupgSession,
 };
 use supg_serve::{
     BreakerConfig, BreakerState, QuerySpec, RetryPolicy, ServeError, ServerConfig, SupgServer,
@@ -375,5 +376,65 @@ fn hostile_selector_configs_are_typed_errors_through_run_and_serve() {
     // Every served error released its reservation and its slot.
     let tenant = server.tenants().get("acme").unwrap();
     assert_eq!(tenant.remaining_budget(), TENANT_BUDGET);
+    assert_eq!(server.in_flight(), 0);
+}
+
+#[test]
+fn hostile_query_specs_return_ok_or_a_typed_error_never_panic() {
+    // γ, δ and budget values outside (and on the edges of) their valid
+    // ranges, for every query kind and sampler backend: 2,205 served
+    // cases. `usize::MAX` is shed at admission by the tenant budget.
+    let gammas = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.5,
+        0.0,
+        1.0,
+        1.5,
+    ];
+    let deltas = [f64::NAN, f64::INFINITY, -1.0, 0.0, 1.0, 2.0, 0.05];
+    let budgets = [0, 1, 2, 1_000, usize::MAX];
+    let samplers = [
+        SamplerStrategy::Alias,
+        SamplerStrategy::Cdf,
+        SamplerStrategy::Auto,
+    ];
+    let server = server(BreakerConfig::default());
+    let labels = labels();
+    let (mut cases, mut answered, mut shed) = (0, 0, 0);
+    let mut panics = Vec::new();
+    for gamma in gammas {
+        for delta in deltas {
+            for budget in budgets {
+                for sampler in samplers {
+                    let config = SelectorConfig::default().with_sampler(sampler);
+                    for spec in [
+                        QuerySpec::recall(gamma, budget),
+                        QuerySpec::precision(gamma, budget),
+                        QuerySpec::joint(gamma, gamma, budget),
+                    ] {
+                        let spec = spec.with_delta(delta).with_config(config).with_seed(7);
+                        let mut oracle = CachedOracle::from_labels(labels.clone(), 1_000);
+                        // `Ok` or any typed `ServeError` is an answer.
+                        let served = catch_unwind(AssertUnwindSafe(|| {
+                            server.serve("acme", "videos", &spec, &mut oracle)
+                        }));
+                        match served {
+                            Err(_) => panics.push(format!("{spec:?}")),
+                            Ok(Ok(_)) => answered += 1,
+                            Ok(Err(ServeError::BudgetExhausted { .. })) => shed += 1,
+                            Ok(Err(_)) => {}
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 2_205);
+    assert!(panics.is_empty(), "panicked: {panics:#?}");
+    // The grid reaches both the pipeline and admission control.
+    assert!(answered > 0 && shed > 0, "answered {answered}, shed {shed}");
     assert_eq!(server.in_flight(), 0);
 }
