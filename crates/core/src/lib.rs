@@ -251,14 +251,18 @@
 //! longest serial pole in the cold path, and every byte of it must be
 //! resident before the first query. A [`SegmentedDataset`]
 //! ([`segment`]) splits the score column into fixed-size segments,
-//! each owning its *own* rank index and its own slice of the sampling
-//! artifacts:
+//! each owning its *own* scores and rank index:
 //!
-//! * **Fully parallel construction, no re-merge.** Per-segment rank
-//!   indexes and weight/CDF/alias artifact slices build independently on
-//!   the worker pool ([`SegmentedDataset::prepare`],
-//!   [`PreparedDataset::from_segmented`](prepared::PreparedDataset::from_segmented));
-//!   there is no final merge pass over n records.
+//! * **Fully parallel rank construction, no re-merge.** Per-segment rank
+//!   indexes build independently on the worker pool
+//!   ([`SegmentedDataset::prepare`]); there is no final merge pass over
+//!   n records.
+//! * **One sampling-artifact stack.** The importance distribution is one
+//!   distribution over all of `D`, so a segmented corpus gets the same
+//!   artifacts a flat one does: one [`WeightArtifacts`] per recipe, an
+//!   n-length weight array plus one alias table or CDF. Only the
+//!   element-wise `A(x)^p` pass is split, one pool job per segment
+//!   ([`WeightArtifacts::build`](prepared::WeightArtifacts::build)).
 //! * **Threshold search as a k-way merge.** `{x : A(x) ≥ τ}` is found
 //!   per segment by binary search and stitched across segment heads in
 //!   canonical order ([`SegmentedDataset::stitched_prefix`]); membership
@@ -268,11 +272,9 @@
 //!   `&SegmentedDataset`) returns a [`QueryOutcome`] **bit-identical** to the flat session on
 //!   the concatenated scores — same `τ` bits, same result order, same
 //!   oracle accounting — at every segment size and `parallelism`, under
-//!   the default `Alias` sampler strategy (pinned by
-//!   `tests/segmented_parity.rs` across RT/PT/JT, the full selector
-//!   registry, and randomized layouts). The artifact cache keys carry a
-//!   segment-layout component, so flat and segmented artifacts for the
-//!   same recipe never collide.
+//!   every sampler strategy (pinned by `tests/segmented_parity.rs`
+//!   across RT/PT/JT, `Alias`/`Cdf`/`Auto`, the full selector registry,
+//!   and randomized layouts).
 //!
 //! `supg_datasets::io::from_csv_string_segmented` loads a CSV corpus
 //! directly into segment-aligned chunks for

@@ -9,9 +9,9 @@
 //! a *measure-then-pick* loop:
 //!
 //! 1. **Calibrate once per process** ([`CalibrationProfile::measured`],
-//!    cached in a `OnceLock`): time the packed-key sort serial vs.
-//!    chunked at the effective core count, and the alias-feed / CDF-scan
-//!    build kernels (via [`supg_sampling::calibrate`]).
+//!    cached in a `OnceLock`): count the effective cores and time the
+//!    packed-key sort serial vs. chunked at that core count — the one
+//!    measurement a planner rule ([`planned_chunks`]) reads.
 //! 2. **Snapshot per query** ([`PlanSignals`]): dataset size and layout
 //!    (flat vs. segmented), the artifact-cache state for the query's
 //!    weight recipe ([`RecipeState`]), the caller's pinned knobs, and an
@@ -102,8 +102,8 @@ const FAN_OUT_NS: f64 = 100_000.0;
 /// EWMA smoothing factor for the observed oracle latency.
 const EWMA_ALPHA: f64 = 0.3;
 
-/// The one-time per-process calibration: measured build-kernel
-/// throughputs and the effective core count, cached in a `OnceLock` on
+/// The one-time per-process calibration: the effective core count and the
+/// measured serial vs. chunked rank-sort cost, cached in a `OnceLock` on
 /// first use ([`CalibrationProfile::measured`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationProfile {
@@ -115,10 +115,6 @@ pub struct CalibrationProfile {
     /// ns/key of the chunked sort + merge at `effective_cores` chunks
     /// (equals the serial cost when only one core is available).
     pub sort_chunked_ns_per_key: f64,
-    /// ns/element of one alias feed pass (`supg-sampling` kernel).
-    pub alias_feed_ns_per_elem: f64,
-    /// ns/element of the CDF prefix-sum construction.
-    pub cdf_scan_ns_per_elem: f64,
 }
 
 impl CalibrationProfile {
@@ -145,13 +141,10 @@ impl CalibrationProfile {
         } else {
             serial_ns
         };
-        let feeds = supg_sampling::calibrate::measure_feed_throughput(PROBE_KEYS);
         CalibrationProfile {
             effective_cores: cores,
             sort_serial_ns_per_key: serial_ns as f64 / PROBE_KEYS as f64,
             sort_chunked_ns_per_key: chunked_ns as f64 / PROBE_KEYS as f64,
-            alias_feed_ns_per_elem: feeds.alias_feed_ns_per_elem,
-            cdf_scan_ns_per_elem: feeds.cdf_scan_ns_per_elem,
         }
     }
 
@@ -164,18 +157,16 @@ impl CalibrationProfile {
         self.sort_serial_ns_per_key / self.sort_chunked_ns_per_key
     }
 
-    /// A synthetic profile for tests: `chunked_sort_speedup` and the
-    /// core count are set directly, the feed costs to plausible
-    /// constants. Lets planner tests exercise multi-core decisions on
-    /// any machine without timing anything.
+    /// A synthetic profile for tests: the core count and
+    /// `chunked_sort_speedup` are set directly. Lets planner tests
+    /// exercise multi-core decisions on any machine without timing
+    /// anything.
     pub fn synthetic(effective_cores: usize, chunked_sort_speedup: f64) -> Self {
         let serial = 10.0;
         CalibrationProfile {
             effective_cores: effective_cores.max(1),
             sort_serial_ns_per_key: serial,
             sort_chunked_ns_per_key: serial / chunked_sort_speedup.max(f64::MIN_POSITIVE),
-            alias_feed_ns_per_elem: 6.0,
-            cdf_scan_ns_per_elem: 2.0,
         }
     }
 }

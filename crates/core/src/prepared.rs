@@ -79,11 +79,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
-use supg_sampling::segmented::{normalize_powered_chunk, segment_cumulative, segment_total};
 use supg_sampling::weights::validate_scores;
 use supg_sampling::{
-    alias, apply_exponent, AliasTable, CdfSampler, ImportanceWeights, SegmentedAlias, SegmentedCdf,
-    SegmentedWeights, WeightedSampler,
+    alias, apply_exponent, AliasTable, CdfSampler, ImportanceWeights, WeightedSampler,
 };
 
 use crate::data::ScoredDataset;
@@ -155,59 +153,57 @@ pub enum RecipeState {
     WarmAlias,
 }
 
-/// The flat importance distribution: the validating scan, then the
-/// element-wise `A(x)^p` transform in `runs` fixed contiguous chunks on the
-/// worker pool (concatenated — bit-identical to one serial pass), then the
-/// normalization ([`ImportanceWeights::from_powered`], whose normalizer
-/// `Σ A^p` stays one serial reduction).
-fn flat_weights(scores: &[f64], exponent: f64, uniform_mix: f64, runs: usize) -> ImportanceWeights {
+/// The flat corpus's `A(x)^p` pass: the validating scan, then the
+/// element-wise transform in `runs` fixed contiguous chunks on the worker
+/// pool (concatenated — bit-identical to one serial pass).
+fn flat_powered(scores: &[f64], exponent: f64, runs: usize) -> Vec<f64> {
     validate_scores(scores, exponent);
-    let powered = if runs <= 1 || scores.len() < runtime::MIN_PARALLEL_INPUT {
-        apply_exponent(scores, exponent)
-    } else {
-        let pieces = runtime::map_chunks(scores.len(), runs, |range| {
-            apply_exponent(&scores[range], exponent)
-        });
-        let mut out = Vec::with_capacity(scores.len());
-        for piece in pieces {
-            out.extend_from_slice(&piece);
-        }
-        out
-    };
-    ImportanceWeights::from_powered(powered, uniform_mix)
+    if runs <= 1 || scores.len() < runtime::MIN_PARALLEL_INPUT {
+        return apply_exponent(scores, exponent);
+    }
+    let pieces = runtime::map_chunks(scores.len(), runs, |range| {
+        apply_exponent(&scores[range], exponent)
+    });
+    let mut out = Vec::with_capacity(scores.len());
+    for piece in pieces {
+        out.extend_from_slice(&piece);
+    }
+    out
+}
+
+/// The segmented corpus's `A(x)^p` pass: one pool job per segment
+/// validates and powers that segment's scores, and the pieces are
+/// concatenated in segment order, as [`flat_powered`] concatenates its
+/// chunks. Element-wise, hence bit-identical to [`flat_powered`] over the
+/// concatenated scores.
+fn segmented_powered(seg: &SegmentedDataset, exponent: f64, runs: usize) -> Vec<f64> {
+    let pool = RuntimeConfig::default()
+        .with_parallelism(runs)
+        .with_batch_size(1);
+    let pieces = runtime::parallel_map(&pool, seg.segments(), |segment| {
+        validate_scores(segment.scores(), exponent);
+        apply_exponent(segment.scores(), exponent)
+    });
+    pieces.concat()
 }
 
 /// The sampler a [`WeightArtifacts`] carries: the O(1)-draw alias table
-/// or the cheap-to-build O(log n)-draw CDF fallback, each in its flat or
-/// segmented (chunk-resident, never concatenated) form.
+/// or the cheap-to-build O(log n)-draw CDF fallback.
 #[derive(Debug, Clone)]
 enum SamplerBackend {
     Alias(AliasTable),
     Cdf(CdfSampler),
-    SegAlias(SegmentedAlias),
-    SegCdf(SegmentedCdf),
-}
-
-/// The importance distribution a [`WeightArtifacts`] carries: flat for
-/// [`ScoredDataset`] corpora, per-segment chunks for [`SegmentedDataset`]
-/// corpora. Per-index probabilities are bit-identical across the two
-/// layouts (see [`supg_sampling::segmented`]), so which store backs a
-/// query is unobservable in results.
-#[derive(Debug, Clone)]
-enum WeightStore {
-    Flat(ImportanceWeights),
-    Segmented(SegmentedWeights),
 }
 
 /// The per-`(dataset, weight recipe)` sampling artifacts: the normalized
-/// importance distribution and a prebuilt weighted sampler over it — the
-/// O(1)-draw alias table or the CDF fallback, chosen by the serving
-/// layer's [`SamplerStrategy`], each in its flat or chunk-resident
-/// segmented form. Built by [`build`](WeightArtifacts::build) for either
-/// corpus layout.
+/// importance distribution over all `n` records and a prebuilt weighted
+/// sampler over it — the O(1)-draw alias table or the CDF fallback,
+/// chosen by the serving layer's [`SamplerStrategy`]. Both are one flat
+/// array per recipe whatever the corpus layout; built by
+/// [`build`](WeightArtifacts::build).
 #[derive(Debug, Clone)]
 pub struct WeightArtifacts {
-    weights: WeightStore,
+    weights: ImportanceWeights,
     sampler: SamplerBackend,
 }
 
@@ -218,24 +214,19 @@ impl WeightArtifacts {
     /// (one serial prefix-sum pass — the cheapest setup for a cold
     /// one-shot query) or the O(1)-draw alias table.
     ///
-    /// Every element-wise pass runs chunk-by-chunk on the `rt` worker
-    /// pool ([`runtime::cpu_workers`]-clamped): the `A(x)^p` transform,
-    /// the probability normalization and, for the alias table, the
-    /// scaling *and* Vose's small/large partition scan
-    /// ([`alias::feed_slice`]). Only the floating-point reductions (the
-    /// normalizer `Σ A^p`, the CDF prefix sum) and the Vose pairing loop
-    /// stay serial, so the artifacts are bit-identical at any
-    /// `parallelism`.
-    ///
-    /// Segmented corpora build per segment, one pool job each, with the
-    /// serial reductions walked in segment order (the flat left-to-right
-    /// sum). Per-index probabilities, reweighting factors, alias tables
-    /// and seeded alias draws are **bit-identical** to the flat build
-    /// over the concatenated scores, at any segment size; segmented CDF
-    /// cumulative values may differ from the flat [`CdfSampler`] in the
-    /// final ulp near segment boundaries, so the bit-exact flat ≡
-    /// segmented `QueryOutcome` contract rides on the default
-    /// [`SamplerStrategy::Alias`].
+    /// The layout decides only how the `A(x)^p` transform is split into
+    /// pool jobs: [`runtime::cpu_workers`]-clamped contiguous chunks of a
+    /// flat corpus, one job per segment of a [`SegmentedDataset`], the
+    /// pieces concatenated into one powered array. Everything after
+    /// is the same flat build: the normalization
+    /// ([`ImportanceWeights::from_powered`]), then the CDF prefix sum or
+    /// the alias table, whose scaling and Vose small/large partition scan
+    /// ([`alias::feed_slice`]) run chunk-by-chunk on the pool. Only the
+    /// floating-point reductions (the normalizer `Σ A^p`, the CDF prefix
+    /// sum) and the Vose pairing loop stay serial, so the artifacts —
+    /// probabilities, reweighting factors, both samplers and every seeded
+    /// draw — are **bit-identical** at any `parallelism` and any segment
+    /// size.
     ///
     /// # Panics
     /// As [`ImportanceWeights::from_scores`] (negative exponent, uniform
@@ -247,33 +238,18 @@ impl WeightArtifacts {
         cdf: bool,
         rt: &RuntimeConfig,
     ) -> Self {
-        match corpus.into() {
-            Corpus::Flat(data) => {
-                let runs = runtime::cpu_workers(rt.parallelism);
-                let weights = flat_weights(data.scores(), exponent, uniform_mix, runs);
-                let sampler = if cdf {
-                    SamplerBackend::Cdf(CdfSampler::new(weights.probs()))
-                } else {
-                    SamplerBackend::Alias(build_alias_pooled(&weights, runs))
-                };
-                Self {
-                    weights: WeightStore::Flat(weights),
-                    sampler,
-                }
-            }
-            Corpus::Segmented(seg) => {
-                let weights = build_segmented_weights(seg, exponent, uniform_mix, rt);
-                let sampler = if cdf {
-                    SamplerBackend::SegCdf(build_segmented_cdf(&weights, rt))
-                } else {
-                    SamplerBackend::SegAlias(build_segmented_alias(&weights, rt))
-                };
-                Self {
-                    weights: WeightStore::Segmented(weights),
-                    sampler,
-                }
-            }
-        }
+        let runs = runtime::cpu_workers(rt.parallelism);
+        let powered = match corpus.into() {
+            Corpus::Flat(data) => flat_powered(data.scores(), exponent, runs),
+            Corpus::Segmented(seg) => segmented_powered(seg, exponent, runs),
+        };
+        let weights = ImportanceWeights::from_powered(powered, uniform_mix);
+        let sampler = if cdf {
+            SamplerBackend::Cdf(CdfSampler::new(weights.probs()))
+        } else {
+            SamplerBackend::Alias(build_alias_pooled(&weights, runs))
+        };
+        Self { weights, sampler }
     }
 
     /// The flat alias build with an **explicit** chunk count, regardless
@@ -284,163 +260,56 @@ impl WeightArtifacts {
     /// away. Bit-identical to the serial alias build for every `runs ≥ 1`.
     pub fn build_chunked(scores: &[f64], exponent: f64, uniform_mix: f64, runs: usize) -> Self {
         let runs = runs.max(1);
-        let weights = flat_weights(scores, exponent, uniform_mix, runs);
+        let weights =
+            ImportanceWeights::from_powered(flat_powered(scores, exponent, runs), uniform_mix);
         let sampler = build_alias_pooled(&weights, runs);
         Self {
-            weights: WeightStore::Flat(weights),
+            weights,
             sampler: SamplerBackend::Alias(sampler),
         }
     }
 
-    /// Sampling probability `w(x)` of record `i` (layout-independent).
+    /// Sampling probability `w(x)` of record `i`.
     pub fn prob(&self, i: usize) -> f64 {
-        match &self.weights {
-            WeightStore::Flat(weights) => weights.prob(i),
-            WeightStore::Segmented(weights) => weights.prob(i),
-        }
+        self.weights.prob(i)
     }
 
     /// Alias sampler over a subset of records, renormalizing lazily —
-    /// the stage-2 table of the two-stage precision selector. Identical
-    /// for flat and segmented artifacts of the same recipe (per-index
-    /// probabilities are bit-identical).
+    /// the stage-2 table of the two-stage precision selector.
     ///
     /// # Panics
     /// Panics if `subset` is empty, out of range, or carries zero mass.
     pub fn restricted_sampler(&self, subset: &[usize]) -> AliasTable {
-        match &self.weights {
-            WeightStore::Flat(weights) => weights.restricted_sampler(subset),
-            WeightStore::Segmented(weights) => weights.restricted_sampler(subset),
-        }
+        self.weights.restricted_sampler(subset)
     }
 
     /// The prebuilt weighted sampler over the full dataset (alias table
-    /// or CDF fallback, flat or segmented, per the build that produced
-    /// these artifacts).
+    /// or CDF fallback, per the build that produced these artifacts).
     pub fn sampler(&self) -> &dyn WeightedSampler {
         match &self.sampler {
             SamplerBackend::Alias(table) => table,
             SamplerBackend::Cdf(cdf) => cdf,
-            SamplerBackend::SegAlias(table) => table,
-            SamplerBackend::SegCdf(cdf) => cdf,
         }
     }
 
-    /// The flat alias table, when these artifacts are backed by one
-    /// (tests and benchmarks that compare table layouts structurally).
+    /// The alias table, when these artifacts are backed by one (tests
+    /// and benchmarks that compare table layouts structurally).
     pub fn alias_sampler(&self) -> Option<&AliasTable> {
         match &self.sampler {
             SamplerBackend::Alias(table) => Some(table),
-            _ => None,
+            SamplerBackend::Cdf(_) => None,
         }
     }
 
-    /// True when draws go through a CDF fallback sampler (flat or
-    /// segmented).
+    /// True when draws go through the CDF fallback sampler.
     pub fn draws_via_cdf(&self) -> bool {
-        matches!(
-            self.sampler,
-            SamplerBackend::Cdf(_) | SamplerBackend::SegCdf(_)
-        )
+        matches!(self.sampler, SamplerBackend::Cdf(_))
     }
 
-    /// Reweighting factor `m(x) = u(x)/w(x)` of record `i`
-    /// (layout-independent — bit-identical across flat and segmented
-    /// artifacts of the same recipe).
+    /// Reweighting factor `m(x) = u(x)/w(x)` of record `i`.
     pub fn reweight_factor(&self, i: usize) -> f64 {
-        match &self.weights {
-            WeightStore::Flat(weights) => weights.reweight_factor(i),
-            WeightStore::Segmented(weights) => weights.reweight_factor(i),
-        }
+        self.weights.reweight_factor(i)
     }
-}
-
-/// The per-segment worker pool used by the segmented artifact builds: one
-/// job per segment, [`runtime::cpu_workers`]-clamped, batch size 1 so
-/// segments spread across workers evenly.
-fn segment_pool(rt: &RuntimeConfig) -> RuntimeConfig {
-    RuntimeConfig::default()
-        .with_parallelism(runtime::cpu_workers(rt.parallelism))
-        .with_batch_size(1)
-}
-
-/// The segmented importance distribution: per-segment `A(x)^p` transform
-/// and normalization on the worker pool, joined by the one serial
-/// floating-point reduction (the normalizer `Σ A^p`, walked over segments
-/// in order so it equals the flat left-to-right sum bit-for-bit).
-fn build_segmented_weights(
-    seg: &SegmentedDataset,
-    exponent: f64,
-    uniform_mix: f64,
-    rt: &RuntimeConfig,
-) -> SegmentedWeights {
-    let pool = segment_pool(rt);
-    let powered: Vec<Vec<f64>> = runtime::parallel_map(&pool, seg.segments(), |s| {
-        validate_scores(s.scores(), exponent);
-        apply_exponent(s.scores(), exponent)
-    });
-    let mut total = 0.0f64;
-    for chunk in &powered {
-        for &p in chunk {
-            total += p;
-        }
-    }
-    let n = seg.len();
-    let normalized = runtime::parallel_map(&pool, &powered, |chunk| {
-        let mut out = chunk.clone();
-        normalize_powered_chunk(&mut out, total, uniform_mix, n);
-        out
-    });
-    SegmentedWeights::from_normalized_chunks(normalized)
-}
-
-/// The segmented alias construction: the serial validating `Σ` (segment
-/// order — the flat reduction), then one [`alias::feed_slice`] pool job
-/// per segment, then the serial Vose pairing over the stitched stacks
-/// ([`SegmentedAlias::from_feeds`]). Bit-identical to the flat
-/// [`build_alias_pooled`] over the concatenated weights.
-fn build_segmented_alias(weights: &SegmentedWeights, rt: &RuntimeConfig) -> SegmentedAlias {
-    let n = weights.len();
-    let k = weights.num_segments();
-    let mut total = 0.0f64;
-    for c in 0..k {
-        for &w in weights.chunk(c) {
-            total += w;
-        }
-    }
-    assert!(total > 0.0, "SegmentedAlias: weights sum to zero");
-    let mut offsets = Vec::with_capacity(k);
-    let mut offset = 0usize;
-    for c in 0..k {
-        offsets.push(offset);
-        offset += weights.chunk(c).len();
-    }
-    let jobs: Vec<usize> = (0..k).collect();
-    let feeds = runtime::parallel_map(&segment_pool(rt), &jobs, |&c| {
-        alias::feed_slice(weights.chunk(c), total, n, offsets[c])
-    });
-    SegmentedAlias::from_feeds(feeds)
-}
-
-/// The two-level parallel CDF build: per-segment local totals (phase 1)
-/// and per-segment global prefix sums (phase 2) each one pool job per
-/// segment, joined by a serial O(#segments) offset scan. Identical to
-/// [`SegmentedCdf::from_weight_chunks`] at any `parallelism`.
-fn build_segmented_cdf(weights: &SegmentedWeights, rt: &RuntimeConfig) -> SegmentedCdf {
-    let pool = segment_pool(rt);
-    let k = weights.num_segments();
-    let jobs: Vec<usize> = (0..k).collect();
-    let totals = runtime::parallel_map(&pool, &jobs, |&c| segment_total(weights.chunk(c)));
-    let mut starts = Vec::with_capacity(k);
-    let mut acc = 0.0f64;
-    for &t in &totals {
-        starts.push(acc);
-        acc += t;
-    }
-    let cumulative = runtime::parallel_map(&pool, &jobs, |&c| {
-        segment_cumulative(weights.chunk(c), starts[c])
-    });
-    SegmentedCdf::from_cumulative_chunks(cumulative)
 }
 
 /// The alias construction over an existing distribution: the serial `Σ`
@@ -477,26 +346,22 @@ fn draws_cdf(strategy: SamplerStrategy, recipe: impl FnOnce() -> RecipeState) ->
 }
 
 /// Cache key: the exact bit patterns of the weight recipe plus the
-/// sampler backend and the corpus segment layout, so recipes that differ
-/// by any representable amount — or by how they draw, or by how the
-/// corpus is segmented — get distinct artifacts. (`layout` is 0 for flat
-/// corpora and the segment size for segmented ones; serving pools that
-/// key artifacts by dataset handle inherit the distinction.)
+/// sampler backend, so recipes that differ by any representable amount —
+/// or by how they draw — get distinct artifacts. Each cache belongs to
+/// one dataset, so the corpus needs no place in the key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct RecipeKey {
     exponent_bits: u64,
     mix_bits: u64,
     cdf: bool,
-    layout: u64,
 }
 
 impl RecipeKey {
-    fn new(exponent: f64, uniform_mix: f64, cdf: bool, layout: u64) -> Self {
+    fn new(exponent: f64, uniform_mix: f64, cdf: bool) -> Self {
         Self {
             exponent_bits: exponent.to_bits(),
             mix_bits: uniform_mix.to_bits(),
             cdf,
-            layout,
         }
     }
 }
@@ -693,12 +558,13 @@ impl PreparedDataset {
         Self::from_corpus(PreparedCorpus::Flat(data))
     }
 
-    /// Prepares an owned segmented corpus: every artifact this dataset
-    /// builds — per-segment rank indexes, weights, samplers — is
-    /// chunk-resident and constructed segment-parallel, and queries
-    /// produce bit-identical [`QueryOutcome`](crate::session::QueryOutcome)s
-    /// to a flat preparation of the concatenated scores (under the
-    /// default [`SamplerStrategy::Alias`]).
+    /// Prepares an owned segmented corpus: each segment owns its scores
+    /// and rank index (built segment-parallel by
+    /// [`prepare`](Self::prepare)); the cached sampling artifacts are one
+    /// array per recipe, as for a flat corpus. Queries produce
+    /// bit-identical [`QueryOutcome`](crate::session::QueryOutcome)s to a
+    /// flat preparation of the concatenated scores under every
+    /// [`SamplerStrategy`].
     pub fn from_segmented(seg: SegmentedDataset) -> Self {
         Self::from_segmented_arc(Arc::new(seg))
     }
@@ -808,15 +674,6 @@ impl PreparedDataset {
         self.len() == 0
     }
 
-    /// The cache-key layout component: 0 for flat corpora, the segment
-    /// size for segmented ones.
-    fn layout_key(&self) -> u64 {
-        match &self.corpus {
-            PreparedCorpus::Flat(_) => 0,
-            PreparedCorpus::Segmented(seg) => seg.segment_size() as u64,
-        }
-    }
-
     /// The alias-backed sampling artifacts for a weight recipe — built on
     /// first use, O(1) `Arc` clone afterwards. Construction happens
     /// outside the cache lock; two threads racing on a cold key may both
@@ -855,7 +712,7 @@ impl PreparedDataset {
         strategy: SamplerStrategy,
     ) -> (Arc<WeightArtifacts>, bool) {
         let cdf = draws_cdf(strategy, || self.recipe_state(exponent, uniform_mix));
-        let key = RecipeKey::new(exponent, uniform_mix, cdf, self.layout_key());
+        let key = RecipeKey::new(exponent, uniform_mix, cdf);
         let rt = self.runtime();
         self.cached_artifacts(key, || {
             WeightArtifacts::build(self.corpus(), exponent, uniform_mix, cdf, &rt)
@@ -877,9 +734,8 @@ impl PreparedDataset {
     /// An alias entry shadows a CDF entry (the O(1)-draw steady state
     /// wins).
     pub fn recipe_state(&self, exponent: f64, uniform_mix: f64) -> RecipeState {
-        let layout = self.layout_key();
-        let alias_key = RecipeKey::new(exponent, uniform_mix, false, layout);
-        let cdf_key = RecipeKey::new(exponent, uniform_mix, true, layout);
+        let alias_key = RecipeKey::new(exponent, uniform_mix, false);
+        let cdf_key = RecipeKey::new(exponent, uniform_mix, true);
         let cache = self.cache.read().expect("artifact cache poisoned");
         if cache.map.contains_key(&alias_key) {
             RecipeState::WarmAlias
@@ -1247,54 +1103,63 @@ mod tests {
 
     #[test]
     fn segmented_artifacts_match_flat_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // Zero scores every 13th record, so the unmixed recipe carries
+        // zero-weight entries through both samplers.
         let scores: Vec<f64> = (0..2_000)
-            .map(|i| ((i * 13) % 997) as f64 / 997.0)
+            .map(|i| {
+                if i % 13 == 0 {
+                    0.0
+                } else {
+                    ((i * 13) % 997) as f64 / 997.0
+                }
+            })
             .collect();
         let data = ScoredDataset::new(scores.clone()).unwrap();
-        let flat = WeightArtifacts::build(&data, 0.5, 0.1, false, &RuntimeConfig::sequential());
-        let seg = SegmentedDataset::new(scores.clone(), 64).unwrap();
-        for parallelism in [1, 4, 8] {
-            let rt = RuntimeConfig::default().with_parallelism(parallelism);
-            let arts = WeightArtifacts::build(&seg, 0.5, 0.1, false, &rt);
-            assert!(arts.alias_sampler().is_none(), "segmented table, not flat");
-            assert!(!arts.draws_via_cdf());
-            for i in 0..scores.len() {
-                assert_eq!(
-                    flat.prob(i).to_bits(),
-                    arts.prob(i).to_bits(),
-                    "prob i={i} parallelism={parallelism}"
-                );
-                assert_eq!(
-                    flat.reweight_factor(i).to_bits(),
-                    arts.reweight_factor(i).to_bits(),
-                    "reweight i={i} parallelism={parallelism}"
-                );
-                assert_eq!(
-                    flat.sampler().prob(i).to_bits(),
-                    arts.sampler().prob(i).to_bits(),
-                    "sampler prob i={i} parallelism={parallelism}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn segmented_cdf_build_is_parallelism_deterministic() {
-        let scores: Vec<f64> = (0..1_500)
-            .map(|i| ((i * 31) % 101) as f64 / 101.0)
-            .collect();
-        let seg = SegmentedDataset::new(scores, 100).unwrap();
-        let serial = WeightArtifacts::build(&seg, 0.5, 0.1, true, &RuntimeConfig::sequential());
-        assert!(serial.draws_via_cdf());
-        for parallelism in [2, 4, 8] {
-            let rt = RuntimeConfig::default().with_parallelism(parallelism);
-            let pooled = WeightArtifacts::build(&seg, 0.5, 0.1, true, &rt);
-            for i in 0..seg.len() {
-                assert_eq!(
-                    serial.sampler().prob(i).to_bits(),
-                    pooled.sampler().prob(i).to_bits(),
-                    "cdf prob i={i} parallelism={parallelism}"
-                );
+        let seq = RuntimeConfig::sequential();
+        for (exponent, mix) in [(0.5, 0.1), (1.0, 0.0)] {
+            let flat = WeightArtifacts::build(&data, exponent, mix, false, &seq);
+            let flat_cdf = WeightArtifacts::build(&data, exponent, mix, true, &seq);
+            let table = flat.alias_sampler().expect("flat alias table");
+            for segment_size in [1, 7, 64, 2_000] {
+                let seg = SegmentedDataset::new(scores.clone(), segment_size).unwrap();
+                for parallelism in [1, 4, 8] {
+                    let rt = RuntimeConfig::default().with_parallelism(parallelism);
+                    let ctx =
+                        format!("p={exponent} mix={mix} seg={segment_size} par={parallelism}");
+                    let arts = WeightArtifacts::build(&seg, exponent, mix, false, &rt);
+                    let cdf = WeightArtifacts::build(&seg, exponent, mix, true, &rt);
+                    assert!(!arts.draws_via_cdf() && cdf.draws_via_cdf());
+                    let seg_table = arts.alias_sampler().expect("one alias table");
+                    assert_eq!(seg_table.aliases(), table.aliases(), "{ctx}: aliases");
+                    let bits = |t: &AliasTable| t.accept().iter().map(|a| a.to_bits()).collect();
+                    let (a, b): (Vec<u64>, Vec<u64>) = (bits(seg_table), bits(table));
+                    assert_eq!(a, b, "{ctx}: accept");
+                    for i in 0..scores.len() {
+                        assert_eq!(
+                            flat.prob(i).to_bits(),
+                            arts.prob(i).to_bits(),
+                            "{ctx}: prob {i}"
+                        );
+                        assert_eq!(
+                            flat.reweight_factor(i).to_bits(),
+                            arts.reweight_factor(i).to_bits(),
+                            "{ctx}: reweight {i}"
+                        );
+                        assert_eq!(
+                            flat_cdf.sampler().prob(i).to_bits(),
+                            cdf.sampler().prob(i).to_bits(),
+                            "{ctx}: cdf prob {i}"
+                        );
+                    }
+                    for (f, s) in [(&flat, &arts), (&flat_cdf, &cdf)] {
+                        let mut a = StdRng::seed_from_u64(7);
+                        let mut b = StdRng::seed_from_u64(7);
+                        let drawn = f.sampler().draw_many(&mut a, 500);
+                        assert_eq!(drawn, s.sampler().draw_many(&mut b, 500), "{ctx}: draws");
+                    }
+                }
             }
         }
     }

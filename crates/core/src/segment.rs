@@ -1,10 +1,9 @@
-//! Segmented datasets: fixed-size segments, each owning its rank index,
-//! answering global queries over the union with **no merged global
-//! structure**.
+//! Segmented datasets: fixed-size segments, each owning its scores and
+//! rank index, answering global queries over the union with **no merged
+//! global rank structure**.
 //!
-//! A 10⁸–10⁹-record corpus cannot keep one contiguous score array, one
-//! contiguous permutation, and one contiguous sampler — and even where it
-//! could, the chunk-parallel builds of the flat path spend their
+//! At 10⁸–10⁹ records one global sort is the longest serial step of the
+//! cold path, and the chunk-parallel builds of the flat path spend their
 //! multicore win re-merging sorted runs into a single allocation.
 //! [`SegmentedDataset`] splits the corpus into fixed-size segments (the
 //! layout BlazeIt's partitioned scans and Willump's staged cascades use
@@ -32,6 +31,14 @@
 //! tie-break), every one of these answers is *bit-identical* to the flat
 //! [`RankIndex`](crate::rank::RankIndex) over the concatenated scores, at every segment size and
 //! every parallelism setting (pinned by `tests/segmented_parity.rs`).
+//!
+//! The sampling artifacts are not split: the importance distribution is
+//! one distribution over all of `D`, so a segmented corpus gets one
+//! weight array and one alias table or CDF per recipe, like a flat one
+//! ([`WeightArtifacts::build`](crate::prepared::WeightArtifacts::build)
+//! powers each segment's scores as one pool job and concatenates the
+//! pieces). Seeded draws are therefore identical across layouts under
+//! every sampler.
 //!
 //! [`Corpus`] is the borrowed either-flat-or-segmented view the selector
 //! and sampling layers work against, so one code path serves both

@@ -382,8 +382,8 @@ impl<'a> SupgSession<'a> {
     /// * `&ScoredDataset` or `&SegmentedDataset` — a cold session that
     ///   builds its sampling artifacts per query. A segmented corpus
     ///   produces bit-identical [`QueryOutcome`]s to the flat one over
-    ///   the concatenated scores with the same seed (under the default
-    ///   [`SamplerStrategy::Alias`] — pinned by
+    ///   the concatenated scores with the same seed, under every
+    ///   [`SamplerStrategy`] (pinned by
     ///   `crates/core/tests/segmented_parity.rs`).
     /// * `&PreparedDataset` — reuses the dataset's cached sampling
     ///   artifacts instead of paying the O(n) weight/alias-table

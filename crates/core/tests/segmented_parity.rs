@@ -2,17 +2,23 @@
 //! must produce a `QueryOutcome` **bit-identical** to a session over the
 //! flat [`ScoredDataset`] of the concatenated scores — same `τ` bits,
 //! same result order, same oracle-call accounting — at every segment
-//! size, every parallelism level, and for RT, PT and JT queries alike
-//! (under the default `Alias` sampler strategy, whose draws consume the
-//! seeded RNG stream identically across layouts). The segment layout is
-//! an artifact-residency decision; it must never be observable in
-//! results.
+//! size, every parallelism level, for RT, PT and JT queries alike, and
+//! under every sampler strategy (`Alias`, `Cdf` and `Auto`): both layouts
+//! build the same flat weights and samplers, so seeded draws are the
+//! same. Segments own their scores and rank indexes; the layout must
+//! never be observable in results.
 
 use proptest::prelude::*;
 use supg_core::{
-    CachedOracle, PreparedDataset, QueryOutcome, RuntimeConfig, ScoredDataset, SegmentedDataset,
-    SelectorKind, SupgSession, TargetKind,
+    CachedOracle, PreparedDataset, QueryOutcome, RuntimeConfig, SamplerStrategy, ScoredDataset,
+    SegmentedDataset, SelectorKind, SupgSession, TargetKind,
 };
+
+const STRATEGIES: [SamplerStrategy; 3] = [
+    SamplerStrategy::Alias,
+    SamplerStrategy::Cdf,
+    SamplerStrategy::Auto,
+];
 
 /// Beta-distributed proxy scores with Bernoulli(A) labels — the rare-
 /// positive regime the paper targets.
@@ -58,7 +64,14 @@ enum Mode {
     Joint,
 }
 
-fn run_mode(session: SupgSession<'_>, mode: Mode, labels: &[bool], seed: u64) -> QueryOutcome {
+fn run_mode(
+    session: SupgSession<'_>,
+    mode: Mode,
+    strategy: SamplerStrategy,
+    labels: &[bool],
+    seed: u64,
+) -> QueryOutcome {
+    let session = session.sampler_strategy(strategy);
     match mode {
         Mode::Recall => {
             let mut oracle = CachedOracle::from_labels(labels.to_vec(), 400);
@@ -100,23 +113,17 @@ fn segmented_matches_flat_across_layouts_targets_and_parallelism() {
         let seg = SegmentedDataset::new(scores.clone(), segment_size).unwrap();
         for parallelism in [1usize, 4, 8] {
             for mode in [Mode::Recall, Mode::Precision, Mode::Joint] {
-                let flat = run_mode(
-                    SupgSession::over(&data).parallelism(parallelism),
-                    mode,
-                    &labels,
-                    4242,
-                );
-                let segd = run_mode(
-                    SupgSession::over(&seg).parallelism(parallelism),
-                    mode,
-                    &labels,
-                    4242,
-                );
-                assert_outcomes_identical(
-                    &flat,
-                    &segd,
-                    &format!("{mode:?} seg={segment_size} p={parallelism}"),
-                );
+                for strategy in STRATEGIES {
+                    let flat = SupgSession::over(&data).parallelism(parallelism);
+                    let flat = run_mode(flat, mode, strategy, &labels, 4242);
+                    let segd = SupgSession::over(&seg).parallelism(parallelism);
+                    let segd = run_mode(segd, mode, strategy, &labels, 4242);
+                    assert_outcomes_identical(
+                        &flat,
+                        &segd,
+                        &format!("{mode:?} {strategy:?} seg={segment_size} p={parallelism}"),
+                    );
+                }
             }
         }
     }
@@ -129,23 +136,26 @@ fn segmented_matches_flat_for_every_registry_selector() {
     let data = ScoredDataset::new(scores.clone()).unwrap();
     let seg = SegmentedDataset::new(scores, 256).unwrap();
     for (kind, target) in SelectorKind::registry() {
-        let run = |session: SupgSession<'_>| -> QueryOutcome {
-            let session = match target {
-                TargetKind::Recall => session.recall(0.9),
-                TargetKind::Precision => session.precision(0.85),
+        for strategy in STRATEGIES {
+            let run = |session: SupgSession<'_>| -> QueryOutcome {
+                let session = match target {
+                    TargetKind::Recall => session.recall(0.9),
+                    TargetKind::Precision => session.precision(0.85),
+                };
+                let mut oracle = CachedOracle::from_labels(labels.clone(), 500);
+                session
+                    .sampler_strategy(strategy)
+                    .budget(500)
+                    .selector(kind)
+                    .seed(7)
+                    .run(&mut oracle)
+                    .unwrap()
             };
-            let mut oracle = CachedOracle::from_labels(labels.clone(), 500);
-            session
-                .budget(500)
-                .selector(kind)
-                .seed(7)
-                .run(&mut oracle)
-                .unwrap()
-        };
-        let flat = run(SupgSession::over(&data));
-        let segd = run(SupgSession::over(&seg));
-        let name = kind.paper_name(target).unwrap();
-        assert_outcomes_identical(&flat, &segd, name);
+            let flat = run(SupgSession::over(&data));
+            let segd = run(SupgSession::over(&seg));
+            let name = kind.paper_name(target).unwrap();
+            assert_outcomes_identical(&flat, &segd, &format!("{name} {strategy:?}"));
+        }
     }
 }
 
@@ -153,51 +163,73 @@ fn segmented_matches_flat_for_every_registry_selector() {
 fn prepared_segmented_matches_cold_flat() {
     // The full serving path: per-segment rank indexes and sampling
     // artifacts built eagerly on an 8-wide pool, served from the
-    // prepared cache — against a from-scratch flat cold session.
+    // prepared cache — against a from-scratch flat cold session, and
+    // against a flat preparation with the same history (under `Auto` the
+    // backend follows the cache state: warmed means alias, while a cold
+    // session draws through the CDF).
     let n = 6_000;
     let (scores, labels) = rare(n, 103);
     let data = ScoredDataset::new(scores.clone()).unwrap();
-    let prepared = PreparedDataset::from_segmented(SegmentedDataset::new(scores, 1 << 10).unwrap())
-        .with_runtime(RuntimeConfig::default().with_parallelism(8));
-    prepared.prepare();
-    prepared.warm(&supg_core::selectors::SelectorConfig::default());
-    let run = |session: SupgSession<'_>| {
-        let mut oracle = CachedOracle::from_labels(labels.clone(), 600);
-        session
-            .recall(0.9)
-            .budget(600)
-            .seed(4711)
-            .run(&mut oracle)
-            .unwrap()
-    };
-    let cold = run(SupgSession::over(&data));
-    let warm = run(SupgSession::over(&prepared));
-    assert_outcomes_identical(&cold, &warm, "prepared segmented");
-    // Repeat queries hit the cache, never rebuild.
-    let again = run(SupgSession::over(&prepared));
-    assert_outcomes_identical(&cold, &again, "prepared segmented (warm)");
-    assert_eq!(prepared.cached_recipes(), 1);
+    let rt = RuntimeConfig::default().with_parallelism(8);
+    for strategy in STRATEGIES {
+        let prepared = PreparedDataset::from_segmented(
+            SegmentedDataset::new(scores.clone(), 1 << 10).unwrap(),
+        )
+        .with_runtime(rt);
+        let prepared_flat = PreparedDataset::new(data.clone()).with_runtime(rt);
+        let cfg = supg_core::selectors::SelectorConfig {
+            sampler: strategy,
+            ..Default::default()
+        };
+        for p in [&prepared, &prepared_flat] {
+            p.prepare();
+            p.warm(&cfg);
+        }
+        let run = |session: SupgSession<'_>| {
+            let mut oracle = CachedOracle::from_labels(labels.clone(), 600);
+            session
+                .sampler_strategy(strategy)
+                .recall(0.9)
+                .budget(600)
+                .seed(4711)
+                .run(&mut oracle)
+                .unwrap()
+        };
+        let warm = run(SupgSession::over(&prepared));
+        let warm_flat = run(SupgSession::over(&prepared_flat));
+        assert_outcomes_identical(&warm_flat, &warm, &format!("prepared {strategy:?}"));
+        if strategy != SamplerStrategy::Auto {
+            let cold = run(SupgSession::over(&data));
+            assert_outcomes_identical(&cold, &warm, &format!("cold flat {strategy:?}"));
+        }
+        // Repeat queries hit the cache, never rebuild.
+        let again = run(SupgSession::over(&prepared));
+        assert_outcomes_identical(&warm, &again, &format!("prepared {strategy:?} (warm)"));
+        assert_eq!(prepared.cached_recipes(), 1);
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // Randomized layouts and seeds: any segment size from one record to
-    // the whole corpus, any seed, RT and PT — flat and segmented
-    // outcomes stay bit-identical.
+    // the whole corpus, any seed, RT and PT, any sampler strategy — flat
+    // and segmented outcomes stay bit-identical.
     #[test]
     fn segmented_parity_holds_for_random_layouts(
         n in 200usize..1200,
         segment_size in 1usize..1400,
         seed in 0u64..10_000,
         recall_target in any::<bool>(),
+        strategy in 0usize..STRATEGIES.len(),
     ) {
+        let strategy = STRATEGIES[strategy];
         let (scores, labels) = rare(n, seed ^ 0xDEAD_BEEF);
         let data = ScoredDataset::new(scores.clone()).unwrap();
         let seg = SegmentedDataset::new(scores, segment_size.min(n)).unwrap();
         let mode = if recall_target { Mode::Recall } else { Mode::Precision };
-        let flat = run_mode(SupgSession::over(&data), mode, &labels, seed);
-        let segd = run_mode(SupgSession::over(&seg), mode, &labels, seed);
-        assert_outcomes_identical(&flat, &segd, &format!("{mode:?} n={n} seg={segment_size} seed={seed}"));
+        let flat = run_mode(SupgSession::over(&data), mode, strategy, &labels, seed);
+        let segd = run_mode(SupgSession::over(&seg), mode, strategy, &labels, seed);
+        assert_outcomes_identical(&flat, &segd, &format!("{mode:?} {strategy:?} n={n} seg={segment_size} seed={seed}"));
     }
 }

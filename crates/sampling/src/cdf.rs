@@ -167,6 +167,30 @@ mod tests {
     }
 
     #[test]
+    fn zero_weight_blocks_are_skipped() {
+        // Whole zero-mass blocks — leading, interior and trailing — are
+        // never drawn, and the positive indices keep their marginals.
+        let weights = [0.0, 0.0, 3.0, 1.0, 0.0, 0.0, 2.0, 0.0];
+        let sampler = CdfSampler::new(&weights);
+        assert_eq!(sampler.max_draw, 6);
+        assert_eq!(sampler.locate(0.0), 2);
+        assert_eq!(sampler.locate(4.0), 6, "a block boundary skips the block");
+        let mut rng = StdRng::seed_from_u64(55);
+        let n = 300_000;
+        let mut counts = [0usize; 8];
+        for _ in 0..n {
+            counts[sampler.sample(&mut rng)] += 1;
+        }
+        for (i, &c) in counts.iter().enumerate() {
+            let emp = c as f64 / n as f64;
+            assert!(
+                (emp - weights[i] / 6.0).abs() < 0.005,
+                "index {i}: emp={emp}"
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "sum to zero")]
     fn rejects_all_zero_weights() {
         CdfSampler::new(&[0.0]);

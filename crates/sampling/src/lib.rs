@@ -22,28 +22,28 @@
 //!   reweighted estimate.
 //!
 //! [`reservoir`] adds single-pass reservoir sampling (Algorithm L) for
-//! streaming ingestion scenarios. [`segmented`] provides the per-segment
-//! counterparts ([`SegmentedWeights`]/[`SegmentedAlias`]/[`SegmentedCdf`])
-//! that keep every artifact in per-segment chunks for 10⁸–10⁹-record
-//! corpora — no contiguous allocation, no build-time re-merge.
+//! streaming ingestion scenarios.
+//!
+//! Nothing here knows how a corpus is split into segments: the importance
+//! distribution is one distribution over all of `D`, so every artifact is
+//! one flat array per weight recipe. `supg-core` builds the same
+//! [`ImportanceWeights`] and samplers for flat and segmented corpora,
+//! splitting only the element-wise `A(x)^p` pass ([`apply_exponent`])
+//! into per-segment jobs.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod alias;
-pub mod calibrate;
 pub mod cdf;
 pub mod reservoir;
 pub mod sampler;
-pub mod segmented;
 pub mod uniform;
 pub mod weights;
 
 pub use alias::AliasTable;
-pub use calibrate::{measure_feed_throughput, FeedThroughput};
 pub use cdf::CdfSampler;
 pub use reservoir::reservoir_sample;
 pub use sampler::WeightedSampler;
-pub use segmented::{SegmentedAlias, SegmentedCdf, SegmentedWeights};
 pub use uniform::{sample_with_replacement, sample_without_replacement};
 pub use weights::{apply_exponent, ImportanceWeights};

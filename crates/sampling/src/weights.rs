@@ -15,13 +15,6 @@
 
 use crate::alias::AliasTable;
 
-/// The per-record transform of the weight recipe: `A(x)^p` with fast paths
-/// for the exponents that matter — 0.5 (the Theorem-1 optimum, `sqrt`),
-/// 1.0 (proportional, identity) and 0.0 (uniform, no transform at all).
-/// `powf` costs an order of magnitude more than `sqrt` per record, which
-/// dominates dataset preparation at n ≈ 10⁶. (`sqrt` may differ from
-/// `powf(0.5)` by ≤ 1 ulp; both are valid weight recipes.)
-///
 /// The weight recipe's input validation, shared by every construction
 /// path ([`ImportanceWeights::from_scores`] and the chunked builders in
 /// `supg-core`), so a bad input panics with the same message wherever
@@ -45,6 +38,13 @@ pub fn validate_scores(scores: &[f64], exponent: f64) {
     }
 }
 
+/// The per-record transform of the weight recipe: `A(x)^p` with fast paths
+/// for the exponents that matter — 0.5 (the Theorem-1 optimum, `sqrt`),
+/// 1.0 (proportional, identity) and 0.0 (uniform, no transform at all).
+/// `powf` costs an order of magnitude more than `sqrt` per record, which
+/// dominates dataset preparation at n ≈ 10⁶. (`sqrt` may differ from
+/// `powf(0.5)` by ≤ 1 ulp; both are valid weight recipes.)
+///
 /// Pure and element-wise, so callers may evaluate it chunk-by-chunk on a
 /// worker pool and concatenate: the result is bit-identical to one serial
 /// pass.

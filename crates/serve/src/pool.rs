@@ -64,11 +64,11 @@ impl SessionPool {
     }
 
     /// Convenience: splits raw proxy scores into fixed-size segments (the
-    /// 10⁸–10⁹-record layout — per-segment rank indexes and sampling
-    /// artifacts, built fully in parallel) and registers the prepared
-    /// corpus. Admitted queries answer bit-identically to a flat
-    /// registration of the same scores under the default sampler strategy;
-    /// only artifact residency changes.
+    /// 10⁸–10⁹-record layout — each segment owns its scores and rank
+    /// index; the sampling artifacts are one array per recipe, as for a
+    /// flat corpus) and registers the prepared corpus. Admitted queries
+    /// answer bit-identically to a flat registration of the same scores
+    /// under every sampler strategy.
     ///
     /// # Errors
     /// [`SupgError`] when the scores are invalid (empty, NaN, out of

@@ -1,7 +1,8 @@
 //! Robust-serving integration: circuit-breaker lifecycle, zero-cost
 //! shedding, deadline enforcement, retry-through-the-server parity,
 //! budget safety on panic paths, and typed errors (never panics) for
-//! hostile selector configurations and hostile query specs.
+//! hostile selector configurations, hostile query specs and degenerate
+//! corpora.
 //!
 //! Failures are produced by the deterministic fault layer in
 //! `supg_core::fault`, so every lifecycle transition here is replayable:
@@ -437,4 +438,82 @@ fn hostile_query_specs_return_ok_or_a_typed_error_never_panic() {
     // The grid reaches both the pipeline and admission control.
     assert!(answered > 0 && shed > 0, "answered {answered}, shed {shed}");
     assert_eq!(server.in_flight(), 0);
+}
+
+#[test]
+fn degenerate_corpora_serve_ok_within_budget_or_a_typed_error() {
+    // The corpora a proxy can degenerate to — one record, two records,
+    // every score 0.0, every score 1.0 — each registered flat and as
+    // one-record segments, served as RT, PT and JT under every sampler
+    // strategy at budgets 2 and 1,000: 144 cases. Each must answer `Ok`
+    // within budget or a typed error, and release its slot and its
+    // unspent reservation.
+    let corpora: [(&str, Vec<f64>); 4] = [
+        ("n=1", vec![0.5]),
+        ("n=2", vec![0.2, 0.8]),
+        ("all 0.0", vec![0.0; 50]),
+        ("all 1.0", vec![1.0; 50]),
+    ];
+    let samplers = [
+        SamplerStrategy::Alias,
+        SamplerStrategy::Cdf,
+        SamplerStrategy::Auto,
+    ];
+    let server = SupgServer::new(ServerConfig::default());
+    let tenant = server.tenants().register("acme", TENANT_BUDGET);
+    let (mut cases, mut panics) = (0, Vec::new());
+    for (corpus, scores) in &corpora {
+        let labels: Vec<bool> = (0..scores.len()).map(|i| i % 2 == 0).collect();
+        let flat = format!("{corpus} flat");
+        let segmented = format!("{corpus} segmented");
+        let pool = server.pool();
+        pool.register_scores(flat.as_str(), scores.clone()).unwrap();
+        pool.register_segmented(segmented.as_str(), scores.clone(), 1)
+            .unwrap();
+        for dataset in [&flat, &segmented] {
+            for budget in [2, 1_000] {
+                for sampler in samplers {
+                    let config = SelectorConfig::default().with_sampler(sampler);
+                    for spec in [
+                        QuerySpec::recall(0.9, budget),
+                        QuerySpec::precision(0.9, budget),
+                        QuerySpec::joint(0.9, 0.9, budget),
+                    ] {
+                        let spec = spec.with_config(config).with_seed(7);
+                        let case =
+                            format!("{dataset} {:?} {sampler:?} budget {budget}", spec.target);
+                        let before = tenant.remaining_budget();
+                        let mut oracle = CachedOracle::from_labels(labels.clone(), budget);
+                        let served = catch_unwind(AssertUnwindSafe(|| {
+                            server.serve("acme", dataset, &spec, &mut oracle)
+                        }));
+                        let charged = match served {
+                            Err(_) => {
+                                panics.push(case.clone());
+                                0
+                            }
+                            Ok(Ok(outcome)) => {
+                                // The JT filter labels at most every record
+                                // on top of the stage budget.
+                                let limit = if outcome.joint {
+                                    assert!(outcome.stage_calls <= budget, "{case}");
+                                    budget + scores.len()
+                                } else {
+                                    budget
+                                };
+                                assert!(outcome.oracle_calls <= limit, "{case}");
+                                outcome.oracle_calls
+                            }
+                            Ok(Err(_)) => 0,
+                        };
+                        assert_eq!(tenant.remaining_budget(), before - charged, "{case}");
+                        assert_eq!(server.in_flight(), 0, "{case}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 144);
+    assert!(panics.is_empty(), "panicked: {panics:#?}");
 }

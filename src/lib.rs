@@ -149,16 +149,17 @@
 //! fitting comfortably in a single sort: construction serializes on one
 //! n-record merge and the whole index must exist before the first
 //! query. [`core::SegmentedDataset`] splits the score column into
-//! fixed-size segments that each own their rank index and their slice
-//! of the sampling artifacts — built fully in parallel with no final
-//! re-merge — while threshold sets are stitched across segment heads in
-//! canonical order (descending score, ties by ascending record index).
-//! Sessions run over it unchanged (`SupgSession::over(&segmented)`, or
+//! fixed-size segments that each own their scores and rank index —
+//! built fully in parallel with no final re-merge — while threshold sets
+//! are stitched across segment heads in canonical order (descending
+//! score, ties by ascending record index). The sampling artifacts are
+//! one array per weight recipe, exactly as for a flat corpus: only the
+//! `A(x)^p` pass runs one pool job per segment. Sessions run over it
+//! unchanged (`SupgSession::over(&segmented)`, or
 //! `PreparedDataset::from_segmented` for the cached serving path), and
-//! the outcome is **bit-identical**
-//! to the flat layout at every segment size and parallelism under the
-//! default sampler strategy — the layout is an artifact-residency
-//! decision, never visible in results. CSV corpora load segment-aligned
+//! the outcome is **bit-identical** to the flat layout at every segment
+//! size and parallelism under every sampler strategy — the layout is
+//! never visible in results. CSV corpora load segment-aligned
 //! via [`datasets::io::from_csv_string_segmented`] without ever
 //! materializing the contiguous column. See the "Segmented datasets"
 //! section of [`core`] for the design and the parity-test inventory.
