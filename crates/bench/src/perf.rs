@@ -21,8 +21,8 @@ use supg_core::selectors::reference::{precision_threshold_naive, recall_threshol
 use supg_core::selectors::{precision_threshold, recall_threshold, SelectorConfig};
 use supg_core::{
     CachedOracle, FaultPlan, FaultyOracle, OracleSample, Planner, PreparedDataset, ResilientOracle,
-    RetryPolicy, RuntimeConfig, SamplerStrategy, ScoredDataset, SegmentedDataset, SelectorKind,
-    SupgSession, WeightArtifacts,
+    RetryPolicy, RuntimeConfig, SamplerStrategy, ScoredDataset, SelectorKind, SupgSession,
+    WeightArtifacts,
 };
 use supg_datasets::BetaDataset;
 use supg_sampling::{CdfSampler, ImportanceWeights};
@@ -192,9 +192,11 @@ impl MaterializationNumbers {
     }
 }
 
-/// Cold construction of the rank-index artifact, as the planner
-/// dispatches it: the serial packed-key build (the planner's serial
-/// floor) vs the planner-chosen chunk count.
+/// Cold construction of a corpus's artifacts: the rank index as the
+/// planner dispatches it (the serial packed-key build, the planner's
+/// serial floor, vs the planner-chosen chunk count), and the CDF
+/// sampling artifacts (the serial textbook build vs the pooled
+/// [`WeightArtifacts::build`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ColdBuildNumbers {
     /// Dataset size.
@@ -208,6 +210,16 @@ pub struct ColdBuildNumbers {
     /// resolves chunks = 1 the chosen build *is* the serial build (same
     /// code path), so this equals `serial_ns` by identity.
     pub parallel_ns: f64,
+    /// Worker-pool width requested for the pooled CDF build.
+    pub cdf_workers: usize,
+    /// Median ns of the serial textbook CDF artifact build: one
+    /// `ImportanceWeights::from_scores` pass plus the single-threaded
+    /// `CdfSampler::new` prefix sum over all n weights.
+    pub cdf_serial_ns: f64,
+    /// Median ns of the pooled build (`WeightArtifacts::build` with the
+    /// CDF backend): the `A(x)^p` pass in contiguous chunks on the pool,
+    /// then the same serial normalization and prefix sum.
+    pub cdf_pooled_ns: f64,
 }
 
 impl ColdBuildNumbers {
@@ -217,50 +229,12 @@ impl ColdBuildNumbers {
     pub fn speedup(&self) -> f64 {
         self.serial_ns / self.parallel_ns.max(1.0)
     }
-}
 
-/// The segmented-corpus path at 10⁷ records: the CDF artifact build over
-/// the segments vs the flat serial build, and stitched threshold-set
-/// search vs the serial linear-scan reference.
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentedNumbers {
-    /// Dataset size.
-    pub n: usize,
-    /// Fixed segment length (records per segment).
-    pub segment_size: usize,
-    /// Worker-pool width requested for the segmented arms.
-    pub workers: usize,
-    /// Median ns of the flat serial CDF artifact build: one
-    /// `ImportanceWeights::from_scores` pass plus the single-threaded
-    /// `CdfSampler::new` prefix sum over all n weights.
-    pub flat_cdf_build_ns: f64,
-    /// Median ns of the segmented build (`WeightArtifacts::build` of a
-    /// segmented CDF): one pool job per segment validates and powers that
-    /// segment's scores, the pieces are concatenated, then the same
-    /// serial normalization and prefix sum as the flat build.
-    pub segmented_cdf_build_ns: f64,
-    /// Median ns of the serial linear-scan threshold search
-    /// ([`materialize_linear`]): full predicate pass over n scores plus
-    /// canonical ordering of the survivors.
-    pub flat_search_ns: f64,
-    /// Median ns of the segmented search: per-segment binary-search count
-    /// ([`SegmentedDataset::count_at_least`]) plus the k-way stitched
-    /// prefix materialization ([`SegmentedDataset::stitched_prefix`]).
-    pub segmented_search_ns: f64,
-}
-
-impl SegmentedNumbers {
-    /// `flat serial / segmented` CDF artifact construction: near 1, since
-    /// only the `A(x)^p` pass runs per segment on the pool; a fall
-    /// below 1 is the cost of splitting the build by segment.
+    /// `serial textbook / pooled` CDF artifact construction: near 1 on
+    /// few cores, since only the `A(x)^p` pass runs on the pool; a fall
+    /// below 1 is pool overhead the build does not earn back.
     pub fn cdf_build_speedup(&self) -> f64 {
-        self.flat_cdf_build_ns / self.segmented_cdf_build_ns.max(1.0)
-    }
-
-    /// `linear scan / stitched` threshold search — the O(n) vs
-    /// O(k log(n/k) + |D(τ)|) gap on a segmented corpus.
-    pub fn search_speedup(&self) -> f64 {
-        self.flat_search_ns / self.segmented_search_ns.max(1.0)
+        self.cdf_serial_ns / self.cdf_pooled_ns.max(1.0)
     }
 }
 
@@ -281,13 +255,12 @@ pub struct BenchReport {
     pub saturation: SaturationNumbers,
     /// Rank-index vs linear-scan set materialization.
     pub materialization: MaterializationNumbers,
-    /// Serial vs planner-chosen cold rank-index construction.
+    /// Serial vs planner-chosen cold rank-index construction, and serial
+    /// vs pooled CDF artifact construction.
     pub cold_build: ColdBuildNumbers,
     /// Adaptive planner: Auto vs best hand-tuned across the
     /// cold/warm × small/huge × fast/slow-oracle grid.
     pub planner: PlannerNumbers,
-    /// Segmented-corpus artifact build and stitched threshold search.
-    pub segmented: SegmentedNumbers,
 }
 
 /// The direction in which a gated ratio improves.
@@ -380,57 +353,6 @@ pub fn run_suite() -> BenchReport {
         materialization: measure_materialization(10),
         cold_build: measure_cold_build(3),
         planner: measure_planner(3),
-        segmented: measure_segmented(3),
-    }
-}
-
-/// The segmented path at n = 10⁷, segment size 2²⁰ (ten segments): CDF
-/// artifact construction (flat serial build vs the build over the
-/// segments, which powers each segment as one pool job) and threshold-set
-/// search (serial linear scan vs per-segment binary search + stitched
-/// prefix). Arms alternate within one loop so ambient machine noise hits
-/// all medians alike; the per-segment rank indexes are prepared outside
-/// the timed region (`cold_build` times index construction).
-fn measure_segmented(iters: usize) -> SegmentedNumbers {
-    let n = 10_000_000;
-    let segment_size = 1 << 20;
-    let workers = 8;
-    let (scores, _) = BetaDataset::new(0.05, 2.0, n).generate(7).into_parts();
-    let seg = SegmentedDataset::new(scores.clone(), segment_size).expect("valid scores");
-    let rt = RuntimeConfig::default().with_parallelism(workers);
-    seg.prepare(&rt);
-    // τ at the 10,000-th order statistic: the search arms copy a ~10k
-    // set while the linear reference scans the full ten million.
-    let tau = seg.kth_highest_score(10_000);
-    let (mut flat_cdf, mut seg_cdf) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
-    let (mut flat_search, mut seg_search) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
-    for _ in 0..iters {
-        let start = Instant::now();
-        let weights = ImportanceWeights::from_scores(&scores, 0.5, 0.1);
-        std::hint::black_box(CdfSampler::new(weights.probs()));
-        flat_cdf.push(start.elapsed().as_nanos() as f64);
-
-        let start = Instant::now();
-        std::hint::black_box(WeightArtifacts::build(&seg, 0.5, 0.1, true, &rt));
-        seg_cdf.push(start.elapsed().as_nanos() as f64);
-
-        let start = Instant::now();
-        std::hint::black_box(materialize_linear(&scores, tau));
-        flat_search.push(start.elapsed().as_nanos() as f64);
-
-        let start = Instant::now();
-        std::hint::black_box(seg.count_at_least(tau));
-        std::hint::black_box(seg.stitched_prefix(tau));
-        seg_search.push(start.elapsed().as_nanos() as f64);
-    }
-    SegmentedNumbers {
-        n,
-        segment_size,
-        workers,
-        flat_cdf_build_ns: median(flat_cdf),
-        segmented_cdf_build_ns: median(seg_cdf),
-        flat_search_ns: median(flat_search),
-        segmented_search_ns: median(seg_search),
     }
 }
 
@@ -457,29 +379,45 @@ fn measure_materialization(iters: usize) -> MaterializationNumbers {
     }
 }
 
-/// Cold rank-index construction at production scale (n = 10⁷). Two
-/// arms, alternating within one loop so ambient machine noise hits both
-/// medians alike: the serial packed-key build (the planner's floor) and
-/// the planner-chosen build at the chunk count
+/// Cold artifact construction at production scale (n = 10⁷). Four
+/// arms, alternating within one loop so ambient machine noise hits all
+/// medians alike. The rank index: the serial packed-key build (the
+/// planner's floor) and the planner-chosen build at the chunk count
 /// [`planned_chunks`] resolved from the process calibration. Where the
 /// calibration keeps the serial floor (`chunks = 1`) the chosen build
 /// is the serial build — the same code path — so `parallel_ns` is
 /// recorded as `serial_ns` by identity and the speedup is exactly 1.0:
-/// the planner's never-slower-than-serial invariant, measured.
+/// the planner's never-slower-than-serial invariant, measured. The CDF
+/// artifacts: the serial textbook build and the pooled
+/// [`WeightArtifacts::build`] on an 8-wide pool.
 fn measure_cold_build(iters: usize) -> ColdBuildNumbers {
     let n = 10_000_000;
+    let cdf_workers = 8;
     let (scores, _) = BetaDataset::new(0.05, 2.0, n).generate(7).into_parts();
+    let data = ScoredDataset::new(scores).expect("valid scores");
+    let scores = data.scores();
+    let rt = RuntimeConfig::default().with_parallelism(cdf_workers);
     let chunks = planned_chunks(n, CalibrationProfile::measured());
     let mut serial = Vec::with_capacity(iters);
     let mut parallel = Vec::with_capacity(iters);
+    let (mut cdf_serial, mut cdf_pooled) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
     for _ in 0..iters {
         let start = Instant::now();
-        std::hint::black_box(RankIndex::build_serial(&scores));
+        let weights = ImportanceWeights::from_scores(scores, 0.5, 0.1);
+        std::hint::black_box(CdfSampler::new(weights.probs()));
+        cdf_serial.push(start.elapsed().as_nanos() as f64);
+
+        let start = Instant::now();
+        std::hint::black_box(WeightArtifacts::build(&data, 0.5, 0.1, true, &rt));
+        cdf_pooled.push(start.elapsed().as_nanos() as f64);
+
+        let start = Instant::now();
+        std::hint::black_box(RankIndex::build_serial(scores));
         serial.push(start.elapsed().as_nanos() as f64);
 
         if chunks > 1 {
             let start = Instant::now();
-            std::hint::black_box(RankIndex::build_chunked(&scores, chunks));
+            std::hint::black_box(RankIndex::build_chunked(scores, chunks));
             parallel.push(start.elapsed().as_nanos() as f64);
         }
     }
@@ -494,6 +432,9 @@ fn measure_cold_build(iters: usize) -> ColdBuildNumbers {
         workers: chunks,
         serial_ns,
         parallel_ns,
+        cdf_workers,
+        cdf_serial_ns: median(cdf_serial),
+        cdf_pooled_ns: median(cdf_pooled),
     }
 }
 
@@ -808,11 +749,20 @@ fn percentile(sorted_ns: &[f64], p: f64) -> f64 {
     sorted_ns[rank.saturating_sub(1).min(sorted_ns.len() - 1)]
 }
 
+/// Rounds the saturation points alternate in: each round runs every
+/// point for `1/SATURATION_ROUNDS` of its queries, so a fast or slow
+/// spell of the host lands on all points alike instead of on whichever
+/// point happened to be running.
+const SATURATION_ROUNDS: usize = 8;
+
 /// The saturation curve: one [`SupgServer`] (warmed shared corpus, one
 /// tenant, the full admission pipeline on every query) hammered by
 /// 1, 2, 4 and 8 concurrent clients. Each client brings its own oracle
 /// and times every `serve` call; a point records the pooled p50/p99
-/// latency and the aggregate QPS.
+/// latency and the aggregate QPS. The points alternate in
+/// [`SATURATION_ROUNDS`] short rounds (the order reversed every other
+/// round), and each point's QPS is its queries over its wall time summed
+/// across the rounds.
 fn measure_saturation(queries_per_client: usize) -> SaturationNumbers {
     let n = 1_000_000;
     let budget = 1_000;
@@ -847,46 +797,69 @@ fn measure_saturation(queries_per_client: usize) -> SaturationNumbers {
         .serve("bench", "corpus", &spec, &mut oracle)
         .expect("warm-up query failed");
 
-    let mut points = Vec::with_capacity(client_counts.len());
-    for clients in client_counts {
-        let wall = Instant::now();
-        let mut latencies: Vec<f64> = std::thread::scope(|scope| {
-            (0..clients)
-                .map(|t| {
-                    let server = Arc::clone(&server);
-                    let labels = Arc::clone(&labels);
-                    scope.spawn(move || {
-                        let mut lat = Vec::with_capacity(queries_per_client);
-                        for q in 0..queries_per_client {
-                            let spec = spec.with_seed((t * 1_000 + q) as u64);
-                            let l = Arc::clone(&labels);
-                            let mut oracle = CachedOracle::parallel(l.len(), budget, move |i| l[i]);
-                            let start = Instant::now();
-                            let outcome = server
-                                .serve("bench", "corpus", &spec, &mut oracle)
-                                .expect("saturation query failed");
-                            lat.push(start.elapsed().as_nanos() as f64);
-                            std::hint::black_box(outcome);
-                        }
-                        lat
+    let rounds = SATURATION_ROUNDS.clamp(1, queries_per_client.max(1));
+    let mut wall_ns = vec![0.0f64; client_counts.len()];
+    let mut latencies: Vec<Vec<f64>> = vec![Vec::new(); client_counts.len()];
+    for round in 0..rounds {
+        // This round's slice of each client's query numbers (seeds).
+        let queries =
+            round * queries_per_client / rounds..(round + 1) * queries_per_client / rounds;
+        let mut order: Vec<usize> = (0..client_counts.len()).collect();
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        for p in order {
+            let clients = client_counts[p];
+            let wall = Instant::now();
+            let lat: Vec<f64> = std::thread::scope(|scope| {
+                (0..clients)
+                    .map(|t| {
+                        let server = Arc::clone(&server);
+                        let labels = Arc::clone(&labels);
+                        let queries = queries.clone();
+                        scope.spawn(move || {
+                            let mut lat = Vec::with_capacity(queries.len());
+                            for q in queries {
+                                let spec = spec.with_seed((t * 1_000 + q) as u64);
+                                let l = Arc::clone(&labels);
+                                let mut oracle =
+                                    CachedOracle::parallel(l.len(), budget, move |i| l[i]);
+                                let start = Instant::now();
+                                let outcome = server
+                                    .serve("bench", "corpus", &spec, &mut oracle)
+                                    .expect("saturation query failed");
+                                lat.push(start.elapsed().as_nanos() as f64);
+                                std::hint::black_box(outcome);
+                            }
+                            lat
+                        })
                     })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flat_map(|h| h.join().expect("client thread panicked"))
-                .collect()
-        });
-        let wall_s = wall.elapsed().as_nanos() as f64 / 1e9;
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let queries = clients * queries_per_client;
-        points.push(SaturationPoint {
-            clients,
-            queries,
-            p50_ns: percentile(&latencies, 0.50),
-            p99_ns: percentile(&latencies, 0.99),
-            qps: queries as f64 / wall_s.max(1e-9),
-        });
+                    .collect::<Vec<_>>()
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("client thread panicked"))
+                    .collect()
+            });
+            wall_ns[p] += wall.elapsed().as_nanos() as f64;
+            latencies[p].extend(lat);
+        }
     }
+
+    let points = client_counts
+        .iter()
+        .zip(wall_ns)
+        .zip(&mut latencies)
+        .map(|((&clients, wall_ns), latencies)| {
+            latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+            let queries = clients * queries_per_client;
+            SaturationPoint {
+                clients,
+                queries,
+                p50_ns: percentile(latencies, 0.50),
+                p99_ns: percentile(latencies, 0.99),
+                qps: queries as f64 / (wall_ns / 1e9).max(1e-9),
+            }
+        })
+        .collect();
 
     SaturationNumbers {
         n,
@@ -900,7 +873,7 @@ fn measure_saturation(queries_per_client: usize) -> SaturationNumbers {
 impl BenchReport {
     /// Every gate `bench_export --check` enforces. Each one is required:
     /// a baseline without its key fails the check.
-    pub fn gates(&self) -> [Gate; 9] {
+    pub fn gates(&self) -> [Gate; 8] {
         use Better::{Higher, Lower};
         let gate = |section, key, current, better| Gate {
             section,
@@ -924,15 +897,9 @@ impl BenchReport {
             ),
             gate("cold_build", "speedup", self.cold_build.speedup(), Higher),
             gate(
-                "segmented",
+                "cold_build",
                 "cdf_build_speedup",
-                self.segmented.cdf_build_speedup(),
-                Higher,
-            ),
-            gate(
-                "segmented",
-                "search_speedup",
-                self.segmented.search_speedup(),
+                self.cold_build.cdf_build_speedup(),
                 Higher,
             ),
             // Normalized by min(4, cores), so the ratio transfers across
@@ -953,7 +920,7 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let kv = |key: &str, value: String| (key.to_string(), value);
         let (prec, rec, res) = (&self.precision, &self.recall, &self.resilience);
-        let (mat, cold, seg) = (&self.materialization, &self.cold_build, &self.segmented);
+        let (mat, cold) = (&self.materialization, &self.cold_build);
         let mut planner = vec![
             kv("small_n", self.planner.small_n.to_string()),
             kv("huge_n", self.planner.huge_n.to_string()),
@@ -1055,36 +1022,20 @@ impl BenchReport {
                     kv("serial_ns", format!("{:.0}", cold.serial_ns)),
                     kv("parallel_ns", format!("{:.0}", cold.parallel_ns)),
                     kv("speedup", format!("{:.2}", cold.speedup())),
-                ],
-            ),
-            (
-                "segmented",
-                vec![
-                    kv("n", seg.n.to_string()),
-                    kv("segment_size", seg.segment_size.to_string()),
-                    kv("workers", seg.workers.to_string()),
-                    kv("flat_cdf_build_ns", format!("{:.0}", seg.flat_cdf_build_ns)),
-                    kv(
-                        "segmented_cdf_build_ns",
-                        format!("{:.0}", seg.segmented_cdf_build_ns),
-                    ),
+                    kv("cdf_workers", cold.cdf_workers.to_string()),
+                    kv("cdf_serial_ns", format!("{:.0}", cold.cdf_serial_ns)),
+                    kv("cdf_pooled_ns", format!("{:.0}", cold.cdf_pooled_ns)),
                     kv(
                         "cdf_build_speedup",
-                        format!("{:.2}", seg.cdf_build_speedup()),
+                        format!("{:.2}", cold.cdf_build_speedup()),
                     ),
-                    kv("flat_search_ns", format!("{:.0}", seg.flat_search_ns)),
-                    kv(
-                        "segmented_search_ns",
-                        format!("{:.0}", seg.segmented_search_ns),
-                    ),
-                    kv("search_speedup", format!("{:.2}", seg.search_speedup())),
                 ],
             ),
             ("planner", planner),
             ("serving", serving),
         ];
 
-        let mut out = String::from("{\n  \"schema\": \"supg-bench/9\",\n");
+        let mut out = String::from("{\n  \"schema\": \"supg-bench/10\",\n");
         for (i, (name, fields)) in sections.iter().enumerate() {
             let _ = writeln!(out, "  \"{name}\": {{");
             for (j, (key, value)) in fields.iter().enumerate() {
@@ -1189,15 +1140,9 @@ mod tests {
                 workers: 8,
                 serial_ns: 1.2e8,
                 parallel_ns: 4e7,
-            },
-            segmented: SegmentedNumbers {
-                n: 10_000_000,
-                segment_size: 1 << 20,
-                workers: 8,
-                flat_cdf_build_ns: 6e7,
-                segmented_cdf_build_ns: 2e7,
-                flat_search_ns: 5e7,
-                segmented_search_ns: 1e5,
+                cdf_workers: 8,
+                cdf_serial_ns: 6e7,
+                cdf_pooled_ns: 2e7,
             },
             planner: PlannerNumbers {
                 small_n: 1 << 16,
@@ -1228,9 +1173,8 @@ mod tests {
         assert_eq!(read("planner", "auto_cold_huge_slow_ns"), Some(2.1e6));
         assert_eq!(read("planner", "hand_cold_huge_slow_ns"), Some(2e6));
         assert_eq!(read("planner", "worst_ratio"), Some(1.05));
-        assert_eq!(read("segmented", "segment_size"), Some((1u64 << 20) as f64));
-        assert_eq!(read("segmented", "cdf_build_speedup"), Some(3.0));
-        assert_eq!(read("segmented", "search_speedup"), Some(500.0));
+        assert_eq!(read("cold_build", "cdf_workers"), Some(8.0));
+        assert_eq!(read("cold_build", "cdf_build_speedup"), Some(3.0));
         assert_eq!(read("serving", "cores"), Some(8.0));
         assert_eq!(read("serving", "qps_c1"), Some(500.0));
         assert_eq!(read("serving", "qps_c2"), Some(900.0));
@@ -1239,7 +1183,7 @@ mod tests {
         assert_eq!(read("serving", "scaling_4v1"), Some(3.0));
         assert_eq!(read("serving", "scaling_efficiency"), Some(0.75));
         // A key is looked up only inside its own section.
-        assert_eq!(read("cold_build", "search_speedup"), None);
+        assert_eq!(read("materialization", "cdf_build_speedup"), None);
         assert_eq!(read("nope", "speedup"), None);
     }
 
@@ -1255,7 +1199,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(keys(committed.trim_end()), keys(&fixture().to_json()));
-        assert!(committed.contains("\"schema\": \"supg-bench/9\""));
+        assert!(committed.contains("\"schema\": \"supg-bench/10\""));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 
 use std::sync::OnceLock;
 
+use crate::data::ScoredDataset;
 use crate::rank;
-use crate::segment::Corpus;
 
 pub use crate::session::QueryOutcome;
 
@@ -128,28 +128,10 @@ impl SelectionResult {
     }
 }
 
-/// The threshold-set prefix a view serves: borrowed straight from a flat
-/// rank index's order array, or owned when stitched across segments.
-#[derive(Debug, Clone)]
-enum Prefix<'a> {
-    Borrowed(&'a [u32]),
-    Owned(Vec<u32>),
-}
-
-impl Prefix<'_> {
-    fn as_slice(&self) -> &[u32] {
-        match self {
-            Self::Borrowed(slice) => slice,
-            Self::Owned(vec) => vec,
-        }
-    }
-}
-
-/// A borrowed query result over a [`Corpus`]: the threshold set `D(τ)`
-/// as a rank-prefix **slice** (borrowed zero-copy from a flat dataset's
-/// [`RankIndex`](crate::rank::RankIndex), or stitched once across a
-/// [`SegmentedDataset`](crate::segment::SegmentedDataset)'s segments)
-/// plus the below-cut labeled positives as a small owned tail.
+/// A borrowed query result over a [`ScoredDataset`]: the threshold set
+/// `D(τ)` as a rank-prefix **slice** borrowed zero-copy from the
+/// dataset's [`RankIndex`](crate::rank::RankIndex), plus the below-cut
+/// labeled positives as a small owned tail.
 ///
 /// This is the streaming form of a query answer — `R = D(τ) ∪ R1` exactly
 /// as [`SelectionResult`] holds it, in the same canonical order
@@ -162,13 +144,13 @@ impl Prefix<'_> {
 /// iff its score is `≥ τ` — so no rank lookup is needed.
 #[derive(Debug, Clone)]
 pub struct ResultView<'a> {
-    corpus: Corpus<'a>,
+    data: &'a ScoredDataset,
     /// The threshold the view was cut at.
     tau: f64,
-    /// The threshold-set prefix in canonical order: borrowed for flat
-    /// corpora, stitched (owned) for segmented ones. Its length is
-    /// `|D(τ)|` (pre-filter, for filtered views).
-    prefix: Prefix<'a>,
+    /// The threshold-set prefix in canonical order, borrowed from the
+    /// rank index. Its length is `|D(τ)|` (pre-filter, for filtered
+    /// views).
+    prefix: &'a [u32],
     /// Labeled positives below the cut — ascending, duplicate-free,
     /// disjoint from the prefix by construction. For filtered views,
     /// only the positives that survived the filter.
@@ -180,31 +162,24 @@ pub struct ResultView<'a> {
 }
 
 impl<'a> ResultView<'a> {
-    /// Builds the view for threshold `tau` over a flat or segmented
-    /// corpus, keeping from `positives` (ascending, deduplicated record
-    /// indices — a labeled-positive set) only the records below the cut,
-    /// i.e. with score `< τ`. For flat corpora this is O(log n) for the
-    /// cut plus O(|positives|) for the filter — independent of `|D(τ)|`;
-    /// segmented corpora pay one O(|D(τ)| log s) k-way stitch of the
-    /// per-segment prefixes.
+    /// Builds the view for threshold `tau` over `data`, keeping from
+    /// `positives` (ascending, deduplicated record indices — a
+    /// labeled-positive set) only the records below the cut, i.e. with
+    /// score `< τ`. O(log n) for the cut plus O(|positives|) for the
+    /// filter — independent of `|D(τ)|`.
     ///
     /// # Panics
-    /// Panics if a positive index is out of range for the corpus.
-    pub fn over(corpus: impl Into<Corpus<'a>>, tau: f64, positives: &[usize]) -> Self {
-        let corpus = corpus.into();
-        let prefix = match corpus {
-            Corpus::Flat(data) => Prefix::Borrowed(data.select(tau)),
-            Corpus::Segmented(seg) => Prefix::Owned(seg.stitched_prefix(tau)),
-        };
+    /// Panics if a positive index is out of range for the dataset.
+    pub fn over(data: &'a ScoredDataset, tau: f64, positives: &[usize]) -> Self {
         let extras = positives
             .iter()
             .copied()
-            .filter(|&i| corpus.score(i) < tau)
+            .filter(|&i| data.score(i) < tau)
             .collect();
         Self {
-            corpus,
+            data,
             tau,
-            prefix,
+            prefix: data.select(tau),
             extras,
             kept: None,
         }
@@ -268,16 +243,15 @@ impl<'a> ResultView<'a> {
     /// **pre-filter** for filtered views, i.e. the candidate count the
     /// joint query handed to the oracle, not the survivors.
     pub fn threshold_len(&self) -> usize {
-        self.prefix.as_slice().len()
+        self.prefix.len()
     }
 
     /// The threshold set as the rank-prefix slice (record indices in
-    /// canonical order) — borrowed zero-copy from flat corpora,
-    /// stitched once at construction for segmented ones. For filtered
+    /// canonical order), borrowed zero-copy from the rank index. For filtered
     /// views this is still the **pre-filter** candidate prefix; the
     /// surviving members are what [`iter`](ResultView::iter) walks.
     pub fn tau_prefix(&self) -> &[u32] {
-        self.prefix.as_slice()
+        self.prefix
     }
 
     /// The below-cut labeled positives (ascending record indices).
@@ -291,10 +265,10 @@ impl<'a> ResultView<'a> {
     /// binary search on the packed canonical key, then searches the kept
     /// positions — O(log k) in all.
     pub fn contains(&self, index: usize) -> bool {
-        if index >= self.corpus.len() {
+        if index >= self.data.len() {
             return false;
         }
-        let score = self.corpus.score(index);
+        let score = self.data.score(index);
         if score < self.tau {
             return self.extras.binary_search(&index).is_ok();
         }
@@ -303,8 +277,7 @@ impl<'a> ResultView<'a> {
                 let key = rank::key(score, index as u32);
                 let pos = self
                     .prefix
-                    .as_slice()
-                    .partition_point(|&j| rank::key(self.corpus.score(j as usize), j) < key);
+                    .partition_point(|&j| rank::key(self.data.score(j as usize), j) < key);
                 // Ascending by construction (built in prefix order).
                 kept.binary_search(&(pos as u32)).is_ok()
             }
@@ -317,7 +290,7 @@ impl<'a> ResultView<'a> {
     /// ascending) — exactly the order [`SelectionResult::indices`] would
     /// hold.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let prefix = self.prefix.as_slice();
+        let prefix = self.prefix;
         let walk: Box<dyn Iterator<Item = usize> + '_> = match &self.kept {
             Some(kept) => Box::new(kept.iter().map(move |&p| prefix[p as usize] as usize)),
             None => Box::new(prefix.iter().map(|&i| i as usize)),
@@ -331,7 +304,7 @@ impl<'a> ResultView<'a> {
     /// extras — the materialization [`to_result`](ResultView::to_result)
     /// and the joint query's candidate batch share.
     pub fn to_vec(&self) -> Vec<usize> {
-        let prefix = self.prefix.as_slice();
+        let prefix = self.prefix;
         let mut out = Vec::with_capacity(self.len());
         match &self.kept {
             Some(kept) => out.extend(kept.iter().map(|&p| prefix[p as usize] as usize)),
@@ -352,7 +325,6 @@ impl<'a> ResultView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::ScoredDataset;
     use crate::oracle::CachedOracle;
     use crate::segment::SegmentedDataset;
     use crate::session::{SelectorKind, SupgSession};
@@ -467,8 +439,8 @@ mod tests {
 
     #[test]
     fn flat_and_segmented_views_agree() {
-        // Scores with cross-segment ties so the stitched prefix must
-        // reproduce the flat tie-break (ascending index) exactly.
+        // Scores with cross-segment ties: a segmented construction serves
+        // the flat tie-break (ascending index) exactly.
         let scores: Vec<f64> = (0..64).map(|i| ((i * 7) % 10) as f64 / 10.0).collect();
         let data = ScoredDataset::new(scores.clone()).unwrap();
         let seg = SegmentedDataset::new(scores, 5).unwrap();

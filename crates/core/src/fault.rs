@@ -243,11 +243,17 @@ impl<O: Oracle> FaultyOracle<O> {
 
 impl<O: Oracle> Oracle for FaultyOracle<O> {
     fn label(&mut self, index: usize) -> Result<bool, SupgError> {
+        self.simulated_latency += self.plan.latency;
+        // Only faulted records need an attempt count; clean ones (most
+        // of them) never touch the map.
+        let decision = self.plan.decision(index);
+        if decision == FaultDecision::Clean {
+            return self.inner.label(index);
+        }
         let attempt = self.attempts.entry(index).or_insert(0);
         *attempt += 1;
         let attempt = *attempt;
-        self.simulated_latency += self.plan.latency;
-        match self.plan.decision(index) {
+        match decision {
             FaultDecision::Permanent => {
                 self.injected_permanents += 1;
                 Err(SupgError::OracleFailed {

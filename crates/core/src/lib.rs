@@ -55,10 +55,9 @@
 //! * [`rank`] — the [`RankIndex`] itself: the descending-score
 //!   permutation and the sorted view; O(log n + k) set materialization
 //!   and the parallel chunked-sort construction.
-//! * [`segment`] — [`SegmentedDataset`]: fixed-size segments, each
-//!   owning its own rank index, for corpora too large to index as one
-//!   block; plus [`Corpus`], the flat-or-segmented view the algorithms
-//!   consume.
+//! * [`segment`] — [`SegmentedDataset`]: a constructor for corpora
+//!   handed over as fixed-size segments, yielding one flat
+//!   [`ScoredDataset`].
 //! * [`oracle`] — the budgeted, label-caching oracle abstraction
 //!   ([`CachedOracle`]).
 //! * [`fault`] — deterministic oracle fault injection ([`FaultyOracle`])
@@ -246,42 +245,28 @@
 //!
 //! ## Segmented datasets
 //!
-//! At 10⁸–10⁹ records, one monolithic rank index stops being the right
-//! artifact: a single packed-key sort over the whole corpus is the
-//! longest serial pole in the cold path, and every byte of it must be
-//! resident before the first query. A [`SegmentedDataset`]
-//! ([`segment`]) splits the score column into fixed-size segments,
-//! each owning its *own* scores and rank index:
+//! A corpus produced segment by segment (one proxy pass per shard or
+//! file) is constructed with [`SegmentedDataset::new`]`(scores,
+//! segment_size)` ([`segment`]). Segments are a way to *construct* a
+//! corpus, not a second layout: the constructor validates the scores
+//! (reporting a bad one by its global index) and holds one flat
+//! [`ScoredDataset`], and its
+//! [`prepare`](SegmentedDataset::prepare) is the flat
+//! [`prepare_rank_index`](ScoredDataset::prepare_rank_index) — one
+//! planner-calibrated rank build whose chunked sort runs on the worker
+//! pool and merges its runs once, at prepare time.
 //!
-//! * **Fully parallel rank construction, no re-merge.** Per-segment rank
-//!   indexes build independently on the worker pool
-//!   ([`SegmentedDataset::prepare`]); there is no final merge pass over
-//!   n records.
-//! * **One sampling-artifact stack.** The importance distribution is one
-//!   distribution over all of `D`, so a segmented corpus gets the same
-//!   artifacts a flat one does: one [`WeightArtifacts`] per recipe, an
-//!   n-length weight array plus one alias table or CDF. Only the
-//!   element-wise `A(x)^p` pass is split, one pool job per segment
-//!   ([`WeightArtifacts::build`](prepared::WeightArtifacts::build)).
-//! * **Threshold search as a k-way merge.** `{x : A(x) ≥ τ}` is found
-//!   per segment by binary search and stitched across segment heads in
-//!   canonical order ([`SegmentedDataset::stitched_prefix`]); membership
-//!   is a score comparison against `τ`, with no rank lookup.
-//! * **Layout is unobservable.** A session over a segmented corpus
-//!   ([`SupgSession::over`](session::SupgSession::over) with a
-//!   `&SegmentedDataset`) returns a [`QueryOutcome`] **bit-identical** to the flat session on
-//!   the concatenated scores — same `τ` bits, same result order, same
-//!   oracle accounting — at every segment size and `parallelism`, under
-//!   every sampler strategy (pinned by `tests/segmented_parity.rs`
-//!   across RT/PT/JT, `Alias`/`Cdf`/`Auto`, the full selector registry,
-//!   and randomized layouts).
-//!
-//! `supg_datasets::io::from_csv_string_segmented` loads a CSV corpus
-//! directly into segment-aligned chunks for
-//! [`SegmentedDataset::from_chunks`], so the contiguous column is never
-//! materialized. Every accessor is layout-blind — [`Corpus`],
-//! [`ResultView`] and the per-record [`WeightArtifacts`] accessors serve
-//! both layouts, so none panics on a valid segmented corpus.
+//! There is one query-time layout. Every query over a segmented corpus
+//! takes the flat path: `|D(τ)|` is one binary search, the threshold
+//! set is a zero-copy prefix of the one canonical rank order, and the
+//! sampling artifacts are the flat [`WeightArtifacts`]. A
+//! `SegmentedDataset` derefs to its `ScoredDataset`, so sessions
+//! ([`SupgSession::over`](session::SupgSession::over)), [`ResultView`]
+//! and [`OracleSample::label`] accept it unchanged, and
+//! [`PreparedDataset::from_segmented`](prepared::PreparedDataset::from_segmented)
+//! moves its dataset into the serving cache without a copy. Outcomes
+//! are the flat outcomes bit for bit at every segment size (pinned by
+//! `tests/segmented_parity.rs`).
 //!
 //! ## Robustness: fault injection and retries
 //!
@@ -299,7 +284,7 @@
 //! retried run's [`QueryOutcome`] is **bit-identical** to the fault-free
 //! run (same `τ` bits, result order and oracle accounting; pinned by
 //! `tests/resilience_parity.rs` across RT/PT/JT, parallelism and
-//! flat/segmented layouts). Retry totals surface on every outcome
+//! flat/segmented constructions). Retry totals surface on every outcome
 //! (`oracle_retries` / `oracle_failures` / `retry_backoff`), and
 //! `tests/guarantees.rs` re-runs the statistical guarantee suite through
 //! the fault harness — the `1 − δ` contract survives infrastructure
@@ -314,7 +299,7 @@
 //! [`plan`] module replaces the guessing with a measured loop. A
 //! [`Planner`](plan::Planner) attached to a session
 //! ([`SupgSession::planned`](session::SupgSession::planned)) snapshots
-//! the measured signals before each run — dataset size and layout, the
+//! the measured signals before each run — dataset size, the
 //! artifact-cache state of the query's weight recipe
 //! ([`PreparedDataset::recipe_state`](prepared::PreparedDataset::recipe_state)),
 //! the effective core count and build-kernel throughputs from a one-time
@@ -334,7 +319,7 @@
 //!   oversubscribed workers and fine batches, throughput-bound ones one
 //!   worker per core and large batches; a caller-set
 //!   [`RuntimeConfig`] is honored verbatim.
-//! * **Build chunking**: chunk-parallel rank/alias/segment builds run
+//! * **Build chunking**: chunk-parallel rank and alias builds run
 //!   only where the calibration *measured* them faster than serial —
 //!   the planner never selects a configuration slower than serial.
 //!

@@ -4,7 +4,7 @@
 //! The paper's §6.5 cost model shows where SUPG's time and money go —
 //! oracle calls ≫ proxy ≫ query processing — but the execution knobs
 //! that steer those costs (`RuntimeConfig` parallelism/batching, the
-//! [`SamplerStrategy`] backend, the chunk counts of rank/alias/segment
+//! [`SamplerStrategy`] backend, the chunk counts of rank and alias
 //! builds) were hand-tuned defaults. This module replaces guessing with
 //! a *measure-then-pick* loop:
 //!
@@ -12,11 +12,11 @@
 //!    cached in a `OnceLock`): count the effective cores and time the
 //!    packed-key sort serial vs. chunked at that core count — the one
 //!    measurement a planner rule ([`planned_chunks`]) reads.
-//! 2. **Snapshot per query** ([`PlanSignals`]): dataset size and layout
-//!    (flat vs. segmented), the artifact-cache state for the query's
-//!    weight recipe ([`RecipeState`]), the caller's pinned knobs, and an
-//!    EWMA of observed per-call oracle latency kept by the [`Planner`]
-//!    across queries.
+//! 2. **Snapshot per query** ([`PlanSignals`]): dataset size, the
+//!    artifact-cache state for the query's weight recipe
+//!    ([`RecipeState`]), the caller's pinned knobs, and an EWMA of
+//!    observed per-call oracle latency kept by the [`Planner`] across
+//!    queries.
 //! 3. **Resolve** ([`Plan::resolve`]): a *pure function* of the snapshot
 //!    producing `Plan { parallelism, batch_size, sampler, chunks,
 //!    rationale }`. Purity is what makes planning testable — the same
@@ -202,7 +202,9 @@ pub struct PlanPolicy {
 pub struct PlanSignals {
     /// Records in the corpus.
     pub n: usize,
-    /// Segment count (0 = flat layout).
+    /// Segment count. Read by no rule — every corpus is one flat dataset
+    /// — and 0 from every session; kept only because the `perfbench`
+    /// harness sets it, and deleted together with that call.
     pub segments: usize,
     /// Whether an artifact cache backs this query (prepared/shared
     /// sessions).
@@ -413,16 +415,11 @@ fn resolve_runtime(s: &PlanSignals, rationale: &mut Vec<Decision>) -> (usize, us
 }
 
 fn resolve_chunks(s: &PlanSignals, rationale: &mut Vec<Decision>) -> usize {
-    let layout = if s.segments > 0 {
-        format!("segmented x{}", s.segments)
-    } else {
-        "flat".to_owned()
-    };
     if s.n < MIN_PARALLEL_INPUT {
         rationale.push(Decision {
             choice: "chunks=1".to_owned(),
             because: format!(
-                "{layout}: n={} below the parallel threshold {MIN_PARALLEL_INPUT}",
+                "n={} below the parallel threshold {MIN_PARALLEL_INPUT}",
                 s.n
             ),
         });
@@ -430,14 +427,14 @@ fn resolve_chunks(s: &PlanSignals, rationale: &mut Vec<Decision>) -> usize {
     } else if s.effective_cores <= 1 {
         rationale.push(Decision {
             choice: "chunks=1".to_owned(),
-            because: format!("{layout}: one effective core — serial floor"),
+            because: "one effective core — serial floor".to_owned(),
         });
         1
     } else if s.chunked_sort_speedup < 1.0 {
         rationale.push(Decision {
             choice: "chunks=1".to_owned(),
             because: format!(
-                "{layout}: measured chunked sort speedup {:.2}x < 1.0 — serial floor",
+                "measured chunked sort speedup {:.2}x < 1.0 — serial floor",
                 s.chunked_sort_speedup
             ),
         });
@@ -447,7 +444,7 @@ fn resolve_chunks(s: &PlanSignals, rationale: &mut Vec<Decision>) -> usize {
         rationale.push(Decision {
             choice: format!("chunks={chunks}"),
             because: format!(
-                "{layout}: chunked builds measured {:.2}x faster at {chunks} cores",
+                "chunked builds measured {:.2}x faster at {chunks} cores",
                 s.chunked_sort_speedup
             ),
         });

@@ -153,9 +153,9 @@ pub enum RecipeState {
     WarmAlias,
 }
 
-/// The flat corpus's `A(x)^p` pass: the validating scan, then the
-/// element-wise transform in `runs` fixed contiguous chunks on the worker
-/// pool (concatenated — bit-identical to one serial pass).
+/// The `A(x)^p` pass: the validating scan, then the element-wise
+/// transform in `runs` fixed contiguous chunks on the worker pool
+/// (concatenated — bit-identical to one serial pass).
 fn flat_powered(scores: &[f64], exponent: f64, runs: usize) -> Vec<f64> {
     validate_scores(scores, exponent);
     if runs <= 1 || scores.len() < runtime::MIN_PARALLEL_INPUT {
@@ -171,22 +171,6 @@ fn flat_powered(scores: &[f64], exponent: f64, runs: usize) -> Vec<f64> {
     out
 }
 
-/// The segmented corpus's `A(x)^p` pass: one pool job per segment
-/// validates and powers that segment's scores, and the pieces are
-/// concatenated in segment order, as [`flat_powered`] concatenates its
-/// chunks. Element-wise, hence bit-identical to [`flat_powered`] over the
-/// concatenated scores.
-fn segmented_powered(seg: &SegmentedDataset, exponent: f64, runs: usize) -> Vec<f64> {
-    let pool = RuntimeConfig::default()
-        .with_parallelism(runs)
-        .with_batch_size(1);
-    let pieces = runtime::parallel_map(&pool, seg.segments(), |segment| {
-        validate_scores(segment.scores(), exponent);
-        apply_exponent(segment.scores(), exponent)
-    });
-    pieces.concat()
-}
-
 /// The sampler a [`WeightArtifacts`] carries: the O(1)-draw alias table
 /// or the cheap-to-build O(log n)-draw CDF fallback.
 #[derive(Debug, Clone)]
@@ -198,8 +182,7 @@ enum SamplerBackend {
 /// The per-`(dataset, weight recipe)` sampling artifacts: the normalized
 /// importance distribution over all `n` records and a prebuilt weighted
 /// sampler over it — the O(1)-draw alias table or the CDF fallback,
-/// chosen by the serving layer's [`SamplerStrategy`]. Both are one flat
-/// array per recipe whatever the corpus layout; built by
+/// chosen by the serving layer's [`SamplerStrategy`]. Built by
 /// [`build`](WeightArtifacts::build).
 #[derive(Debug, Clone)]
 pub struct WeightArtifacts {
@@ -208,41 +191,35 @@ pub struct WeightArtifacts {
 }
 
 impl WeightArtifacts {
-    /// Builds one weight recipe's artifacts over a corpus — the one build
-    /// for every layout × backend, shared by the prepared cache and cold
-    /// views. `cdf` picks the backend: the O(log n)-draw [`CdfSampler`]
-    /// (one serial prefix-sum pass — the cheapest setup for a cold
-    /// one-shot query) or the O(1)-draw alias table.
+    /// Builds one weight recipe's artifacts over a dataset — the one build
+    /// for every backend, shared by the prepared cache and cold views.
+    /// `cdf` picks the backend: the O(log n)-draw [`CdfSampler`] (one
+    /// serial prefix-sum pass — the cheapest setup for a cold one-shot
+    /// query) or the O(1)-draw alias table.
     ///
-    /// The layout decides only how the `A(x)^p` transform is split into
-    /// pool jobs: [`runtime::cpu_workers`]-clamped contiguous chunks of a
-    /// flat corpus, one job per segment of a [`SegmentedDataset`], the
-    /// pieces concatenated into one powered array. Everything after
-    /// is the same flat build: the normalization
+    /// The `A(x)^p` transform runs in [`runtime::cpu_workers`]-clamped
+    /// contiguous chunks on the pool, concatenated into one powered
+    /// array; then the normalization
     /// ([`ImportanceWeights::from_powered`]), then the CDF prefix sum or
     /// the alias table, whose scaling and Vose small/large partition scan
     /// ([`alias::feed_slice`]) run chunk-by-chunk on the pool. Only the
     /// floating-point reductions (the normalizer `Σ A^p`, the CDF prefix
     /// sum) and the Vose pairing loop stay serial, so the artifacts —
     /// probabilities, reweighting factors, both samplers and every seeded
-    /// draw — are **bit-identical** at any `parallelism` and any segment
-    /// size.
+    /// draw — are **bit-identical** at any `parallelism`.
     ///
     /// # Panics
     /// As [`ImportanceWeights::from_scores`] (negative exponent, uniform
     /// mix outside `[0, 1]`, zero total mass).
-    pub fn build<'a>(
-        corpus: impl Into<Corpus<'a>>,
+    pub fn build(
+        data: &ScoredDataset,
         exponent: f64,
         uniform_mix: f64,
         cdf: bool,
         rt: &RuntimeConfig,
     ) -> Self {
         let runs = runtime::cpu_workers(rt.parallelism);
-        let powered = match corpus.into() {
-            Corpus::Flat(data) => flat_powered(data.scores(), exponent, runs),
-            Corpus::Segmented(seg) => segmented_powered(seg, exponent, runs),
-        };
+        let powered = flat_powered(data.scores(), exponent, runs);
         let weights = ImportanceWeights::from_powered(powered, uniform_mix);
         let sampler = if cdf {
             SamplerBackend::Cdf(CdfSampler::new(weights.probs()))
@@ -504,21 +481,13 @@ impl QueryProbe {
     }
 }
 
-/// The `Arc`-shared corpus a [`PreparedDataset`] amortizes over: flat or
-/// segmented.
-enum PreparedCorpus {
-    Flat(Arc<ScoredDataset>),
-    Segmented(Arc<SegmentedDataset>),
-}
-
-/// An `Arc`-shared corpus (flat [`ScoredDataset`] or
-/// [`SegmentedDataset`]) plus its lazily built, bounded keyed
+/// An `Arc`-shared [`ScoredDataset`] plus its lazily built, bounded keyed
 /// sampling-artifact cache. `Send + Sync`; clone the surrounding `Arc` to
 /// share across sessions and threads. Warm lookups take only the shared
 /// read lock (see the [module docs](self)), so concurrent serving never
 /// serializes on the cache.
 pub struct PreparedDataset {
-    corpus: PreparedCorpus,
+    data: Arc<ScoredDataset>,
     cache: RwLock<ArtifactCache>,
     /// Monotone recency clock for the LRU stamps — outside the cache lock
     /// so hits can stamp recency under the *read* lock.
@@ -555,29 +524,9 @@ impl PreparedDataset {
 
     /// Prepares an already-shared dataset without copying it.
     pub fn from_arc(data: Arc<ScoredDataset>) -> Self {
-        Self::from_corpus(PreparedCorpus::Flat(data))
-    }
-
-    /// Prepares an owned segmented corpus: each segment owns its scores
-    /// and rank index (built segment-parallel by
-    /// [`prepare`](Self::prepare)); the cached sampling artifacts are one
-    /// array per recipe, as for a flat corpus. Queries produce
-    /// bit-identical [`QueryOutcome`](crate::session::QueryOutcome)s to a
-    /// flat preparation of the concatenated scores under every
-    /// [`SamplerStrategy`].
-    pub fn from_segmented(seg: SegmentedDataset) -> Self {
-        Self::from_segmented_arc(Arc::new(seg))
-    }
-
-    /// Prepares an already-shared segmented corpus without copying it.
-    pub fn from_segmented_arc(seg: Arc<SegmentedDataset>) -> Self {
-        Self::from_corpus(PreparedCorpus::Segmented(seg))
-    }
-
-    fn from_corpus(corpus: PreparedCorpus) -> Self {
         let rt = RuntimeConfig::sequential();
         Self {
-            corpus,
+            data,
             cache: RwLock::new(ArtifactCache {
                 map: HashMap::new(),
                 capacity: DEFAULT_CACHE_CAPACITY,
@@ -589,6 +538,14 @@ impl PreparedDataset {
             rt_parallelism: AtomicUsize::new(rt.parallelism),
             rt_batch_size: AtomicUsize::new(rt.batch_size),
         }
+    }
+
+    /// Prepares a corpus constructed from segments: its one flat
+    /// dataset, moved without a copy. Queries are the flat ones, so they
+    /// produce the [`QueryOutcome`](crate::session::QueryOutcome)s of a
+    /// flat preparation of the same scores.
+    pub fn from_segmented(seg: SegmentedDataset) -> Self {
+        Self::new(seg.data)
     }
 
     /// Validates raw proxy scores and prepares the resulting dataset.
@@ -623,21 +580,11 @@ impl PreparedDataset {
         self.rt_batch_size.store(rt.batch_size, Ordering::Relaxed);
     }
 
-    /// Builds the corpus's rank structure on the configured worker pool
-    /// (no-op when already built), so the first query pays no sort: the
-    /// global rank index for flat corpora, every per-segment index —
-    /// constructed fully in parallel, one pool job per segment, with no
-    /// final merge — for segmented ones. Returns `self` for chaining.
+    /// Builds the dataset's rank index on the configured worker pool
+    /// (no-op when already built), so the first query pays no sort.
+    /// Returns `self` for chaining.
     pub fn prepare(&self) -> &Self {
-        let rt = self.runtime();
-        match &self.corpus {
-            PreparedCorpus::Flat(data) => {
-                data.prepare_rank_index(&rt);
-            }
-            PreparedCorpus::Segmented(seg) => {
-                seg.prepare(&rt);
-            }
-        }
+        self.data.prepare_rank_index(&self.runtime());
         self
     }
 
@@ -652,20 +599,16 @@ impl PreparedDataset {
         self.prepare()
     }
 
-    /// The underlying corpus, as the layout-polymorphic [`Corpus`] view.
+    /// The underlying dataset, as [`Corpus::Flat`] — the only variant
+    /// any constructor yields. Kept only because the `perfbench` harness
+    /// matches on it; deleted together with that call.
     pub fn corpus(&self) -> Corpus<'_> {
-        match &self.corpus {
-            PreparedCorpus::Flat(data) => Corpus::Flat(data),
-            PreparedCorpus::Segmented(seg) => Corpus::Segmented(seg),
-        }
+        Corpus::Flat(&self.data)
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        match &self.corpus {
-            PreparedCorpus::Flat(data) => data.len(),
-            PreparedCorpus::Segmented(seg) => seg.len(),
-        }
+        self.data.len()
     }
 
     /// True when the corpus has no records (construction forbids this,
@@ -715,7 +658,7 @@ impl PreparedDataset {
         let key = RecipeKey::new(exponent, uniform_mix, cdf);
         let rt = self.runtime();
         self.cached_artifacts(key, || {
-            WeightArtifacts::build(self.corpus(), exponent, uniform_mix, cdf, &rt)
+            WeightArtifacts::build(&self.data, exponent, uniform_mix, cdf, &rt)
         })
     }
 
@@ -829,25 +772,23 @@ impl PreparedDataset {
     }
 }
 
-/// The borrowed view a selector runs against: the corpus (flat or
-/// segmented) plus, when the session was given a [`PreparedDataset`],
-/// the shared artifact cache. Cold views build artifacts fresh per call —
-/// exactly the historical per-query behavior — so every selector has one
-/// code path and prepared vs. cold differ only in amortization, never in
-/// results.
+/// The borrowed view a selector runs against: the dataset plus, when the
+/// session was given a [`PreparedDataset`], the shared artifact cache.
+/// Cold views build artifacts fresh per call — exactly the historical
+/// per-query behavior — so every selector has one code path and prepared
+/// vs. cold differ only in amortization, never in results.
 #[derive(Debug, Clone, Copy)]
 pub struct DataView<'a> {
-    corpus: Corpus<'a>,
+    data: &'a ScoredDataset,
     prepared: Option<&'a PreparedDataset>,
     probe: Option<&'a QueryProbe>,
 }
 
 impl<'a> DataView<'a> {
-    /// A view with no artifact cache (per-query construction) over a flat
-    /// or segmented corpus.
-    pub fn cold(corpus: impl Into<Corpus<'a>>) -> Self {
+    /// A view with no artifact cache (per-query construction).
+    pub fn cold(data: &'a ScoredDataset) -> Self {
         Self {
-            corpus: corpus.into(),
+            data,
             prepared: None,
             probe: None,
         }
@@ -856,7 +797,7 @@ impl<'a> DataView<'a> {
     /// A view backed by a prepared dataset's artifact cache.
     pub fn prepared(prepared: &'a PreparedDataset) -> Self {
         Self {
-            corpus: prepared.corpus(),
+            data: &prepared.data,
             prepared: Some(prepared),
             probe: None,
         }
@@ -870,11 +811,9 @@ impl<'a> DataView<'a> {
         self
     }
 
-    /// The corpus under view. (`Corpus` is `Copy` and serves scores,
-    /// threshold counts and top-k identically for flat and segmented
-    /// layouts, so selectors are layout-blind.)
-    pub fn data(&self) -> Corpus<'a> {
-        self.corpus
+    /// The dataset under view.
+    pub fn data(&self) -> &'a ScoredDataset {
+        self.data
     }
 
     /// True when backed by a prepared artifact cache.
@@ -882,11 +821,11 @@ impl<'a> DataView<'a> {
         self.prepared.is_some()
     }
 
-    /// The corpus query results are served from — equal to
+    /// The dataset query results are served from — equal to
     /// [`data`](Self::data). Kept only because the `perfbench` harness
     /// calls it; it can be removed together with that call.
-    pub fn rank_source(&self) -> Corpus<'a> {
-        self.corpus
+    pub fn rank_source(&self) -> &'a ScoredDataset {
+        self.data
     }
 
     /// The alias-backed sampling artifacts for a weight recipe: cache hit
@@ -912,7 +851,7 @@ impl<'a> DataView<'a> {
             None => {
                 let cdf = draws_cdf(strategy, || RecipeState::Cold);
                 let rt = RuntimeConfig::sequential();
-                let built = WeightArtifacts::build(self.corpus, exponent, uniform_mix, cdf, &rt);
+                let built = WeightArtifacts::build(self.data, exponent, uniform_mix, cdf, &rt);
                 (Arc::new(built), false)
             }
         };
@@ -968,32 +907,6 @@ mod tests {
                 cold.reweight_factor(i).to_bits(),
                 prepared.reweight_factor(i).to_bits()
             );
-        }
-    }
-
-    #[test]
-    fn pooled_artifact_build_is_bit_identical_to_serial() {
-        // Big enough to cross the parallel threshold.
-        let scores: Vec<f64> = (0..40_000)
-            .map(|i| ((i * 13) % 997) as f64 / 997.0)
-            .collect();
-        let data = ScoredDataset::new(scores).unwrap();
-        let serial = WeightArtifacts::build(&data, 0.5, 0.1, false, &RuntimeConfig::sequential());
-        for parallelism in [2, 4, 8] {
-            let rt = RuntimeConfig::default().with_parallelism(parallelism);
-            let pooled = WeightArtifacts::build(&data, 0.5, 0.1, false, &rt);
-            for i in (0..data.len()).step_by(997) {
-                assert_eq!(
-                    serial.prob(i).to_bits(),
-                    pooled.prob(i).to_bits(),
-                    "prob i={i} parallelism={parallelism}"
-                );
-                assert_eq!(
-                    serial.sampler().prob(i).to_bits(),
-                    pooled.sampler().prob(i).to_bits(),
-                    "sampler prob i={i} parallelism={parallelism}"
-                );
-            }
         }
     }
 
@@ -1092,22 +1005,20 @@ mod tests {
             .with_runtime(RuntimeConfig::default().with_parallelism(4));
         p.prepare();
         // The index lives on the shared dataset, not a private copy.
-        let Corpus::Flat(flat) = p.corpus() else {
-            panic!("a flat preparation serves a flat corpus");
-        };
-        let idx = flat.rank_index();
+        let idx = DataView::prepared(&p).data().rank_index();
         assert_eq!(idx.len(), 100);
         assert!(std::ptr::eq(idx, data.rank_index()));
         assert_eq!(p.runtime().parallelism, 4);
     }
 
     #[test]
-    fn segmented_artifacts_match_flat_bitwise() {
+    fn pooled_artifacts_match_serial_bitwise() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        // Zero scores every 13th record, so the unmixed recipe carries
-        // zero-weight entries through both samplers.
-        let scores: Vec<f64> = (0..2_000)
+        // Big enough to cross the parallel threshold; zero scores every
+        // 13th record, so the unmixed recipe carries zero-weight entries
+        // through both samplers.
+        let scores: Vec<f64> = (0..40_000)
             .map(|i| {
                 if i % 13 == 0 {
                     0.0
@@ -1116,49 +1027,45 @@ mod tests {
                 }
             })
             .collect();
-        let data = ScoredDataset::new(scores.clone()).unwrap();
+        let data = ScoredDataset::new(scores).unwrap();
         let seq = RuntimeConfig::sequential();
         for (exponent, mix) in [(0.5, 0.1), (1.0, 0.0)] {
-            let flat = WeightArtifacts::build(&data, exponent, mix, false, &seq);
-            let flat_cdf = WeightArtifacts::build(&data, exponent, mix, true, &seq);
-            let table = flat.alias_sampler().expect("flat alias table");
-            for segment_size in [1, 7, 64, 2_000] {
-                let seg = SegmentedDataset::new(scores.clone(), segment_size).unwrap();
-                for parallelism in [1, 4, 8] {
-                    let rt = RuntimeConfig::default().with_parallelism(parallelism);
-                    let ctx =
-                        format!("p={exponent} mix={mix} seg={segment_size} par={parallelism}");
-                    let arts = WeightArtifacts::build(&seg, exponent, mix, false, &rt);
-                    let cdf = WeightArtifacts::build(&seg, exponent, mix, true, &rt);
-                    assert!(!arts.draws_via_cdf() && cdf.draws_via_cdf());
-                    let seg_table = arts.alias_sampler().expect("one alias table");
-                    assert_eq!(seg_table.aliases(), table.aliases(), "{ctx}: aliases");
-                    let bits = |t: &AliasTable| t.accept().iter().map(|a| a.to_bits()).collect();
-                    let (a, b): (Vec<u64>, Vec<u64>) = (bits(seg_table), bits(table));
-                    assert_eq!(a, b, "{ctx}: accept");
-                    for i in 0..scores.len() {
-                        assert_eq!(
-                            flat.prob(i).to_bits(),
-                            arts.prob(i).to_bits(),
-                            "{ctx}: prob {i}"
-                        );
-                        assert_eq!(
-                            flat.reweight_factor(i).to_bits(),
-                            arts.reweight_factor(i).to_bits(),
-                            "{ctx}: reweight {i}"
-                        );
-                        assert_eq!(
-                            flat_cdf.sampler().prob(i).to_bits(),
-                            cdf.sampler().prob(i).to_bits(),
-                            "{ctx}: cdf prob {i}"
-                        );
-                    }
-                    for (f, s) in [(&flat, &arts), (&flat_cdf, &cdf)] {
-                        let mut a = StdRng::seed_from_u64(7);
-                        let mut b = StdRng::seed_from_u64(7);
-                        let drawn = f.sampler().draw_many(&mut a, 500);
-                        assert_eq!(drawn, s.sampler().draw_many(&mut b, 500), "{ctx}: draws");
-                    }
+            let serial = WeightArtifacts::build(&data, exponent, mix, false, &seq);
+            let serial_cdf = WeightArtifacts::build(&data, exponent, mix, true, &seq);
+            let table = serial.alias_sampler().expect("serial alias table");
+            for parallelism in [1, 4, 8] {
+                let rt = RuntimeConfig::default().with_parallelism(parallelism);
+                let ctx = format!("p={exponent} mix={mix} par={parallelism}");
+                let arts = WeightArtifacts::build(&data, exponent, mix, false, &rt);
+                let cdf = WeightArtifacts::build(&data, exponent, mix, true, &rt);
+                assert!(!arts.draws_via_cdf() && cdf.draws_via_cdf());
+                let pooled_table = arts.alias_sampler().expect("pooled alias table");
+                assert_eq!(pooled_table.aliases(), table.aliases(), "{ctx}: aliases");
+                let bits = |t: &AliasTable| t.accept().iter().map(|a| a.to_bits()).collect();
+                let (a, b): (Vec<u64>, Vec<u64>) = (bits(pooled_table), bits(table));
+                assert_eq!(a, b, "{ctx}: accept");
+                for i in 0..data.len() {
+                    assert_eq!(
+                        serial.prob(i).to_bits(),
+                        arts.prob(i).to_bits(),
+                        "{ctx}: prob {i}"
+                    );
+                    assert_eq!(
+                        serial.reweight_factor(i).to_bits(),
+                        arts.reweight_factor(i).to_bits(),
+                        "{ctx}: reweight {i}"
+                    );
+                    assert_eq!(
+                        serial_cdf.sampler().prob(i).to_bits(),
+                        cdf.sampler().prob(i).to_bits(),
+                        "{ctx}: cdf prob {i}"
+                    );
+                }
+                for (f, s) in [(&serial, &arts), (&serial_cdf, &cdf)] {
+                    let mut a = StdRng::seed_from_u64(7);
+                    let mut b = StdRng::seed_from_u64(7);
+                    let drawn = f.sampler().draw_many(&mut a, 500);
+                    assert_eq!(drawn, s.sampler().draw_many(&mut b, 500), "{ctx}: draws");
                 }
             }
         }
@@ -1175,17 +1082,15 @@ mod tests {
         let b = p.artifacts(0.5, 0.1);
         assert!(Arc::ptr_eq(&a, &b), "same recipe must hit the cache");
         assert_eq!(p.cached_recipes(), 1);
-        // The corpus view serves the segmented layout.
-        let corpus = p.corpus();
-        assert_eq!(corpus.len(), 500);
-        assert!(matches!(corpus, Corpus::Segmented(_)));
+        // A segmented construction serves one flat dataset.
+        assert!(matches!(p.corpus(), Corpus::Flat(flat) if flat.len() == 500));
     }
 
     #[test]
     fn from_arc_aliases_the_dataset() {
         let arc = Arc::new(dataset());
         let p = PreparedDataset::from_arc(Arc::clone(&arc));
-        assert!(matches!(p.corpus(), Corpus::Flat(flat) if std::ptr::eq(flat, &*arc)));
+        assert!(std::ptr::eq(DataView::prepared(&p).data(), &*arc));
         assert_eq!(p.len(), 100);
         assert!(!p.is_empty());
     }

@@ -20,11 +20,10 @@
 //!
 //! Canonical order has exactly one definition: the ascending packed key
 //! `(!score_bits ∥ index)` built by the crate-private `rank::key`.
-//! Everything that orders records — this index, the segmented k-way
-//! stitch, oracle-sample assembly and result-view membership — compares
-//! these keys, so no inverse permutation is needed: a record is in
-//! `D(τ)` iff its score is `≥ τ`, and its position inside the prefix is
-//! a binary search on the key.
+//! Everything that orders records — this index, oracle-sample assembly
+//! and result-view membership — compares these keys, so no inverse
+//! permutation is needed: a record is in `D(τ)` iff its score is `≥ τ`,
+//! and its position inside the prefix is a binary search on the key.
 //!
 //! ## Construction
 //!

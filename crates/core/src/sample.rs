@@ -3,11 +3,11 @@
 use rand::RngCore;
 use supg_stats::{PairSketch, SampleSketch};
 
+use crate::data::ScoredDataset;
 use crate::error::SupgError;
 use crate::oracle::{BatchOracle, Oracle};
 use crate::prepared::WeightArtifacts;
 use crate::rank;
-use crate::segment::Corpus;
 
 /// A sample of records drawn for oracle labeling, with proxy scores, labels
 /// and importance-reweighting factors `m(x) = u(x)/w(x)` (all 1 under
@@ -85,15 +85,14 @@ impl OracleSample {
     ///
     /// # Errors
     /// Propagates oracle errors (budget exhaustion, bad indices).
-    pub fn label<'d>(
-        data: impl Into<Corpus<'d>>,
+    pub fn label(
+        data: &ScoredDataset,
         indices: Vec<usize>,
         oracle: &mut dyn Oracle,
         reweight: impl FnMut(usize) -> f64,
     ) -> Result<Self, SupgError> {
-        let corpus = data.into();
         let labels = oracle.label_batch(&indices)?;
-        let scores = indices.iter().map(|&i| corpus.score(i)).collect();
+        let scores = indices.iter().map(|&i| data.score(i)).collect();
         let reweights = (0..indices.len()).map(reweight).collect();
         Ok(Self::from_parts(indices, scores, labels, reweights))
     }
@@ -376,14 +375,13 @@ impl OracleSample {
 /// [`WeightArtifacts`](crate::prepared::WeightArtifacts) — typically a
 /// [`PreparedDataset`](crate::prepared::PreparedDataset) cache hit — so
 /// repeated queries pay O(k) draws, never an O(n) table rebuild.
-pub fn draw_weighted<'d>(
-    data: impl Into<Corpus<'d>>,
+pub fn draw_weighted(
+    data: &ScoredDataset,
     artifacts: &WeightArtifacts,
     k: usize,
     oracle: &mut dyn Oracle,
     rng: &mut dyn RngCore,
 ) -> Result<OracleSample, SupgError> {
-    let data = data.into();
     let sampler = artifacts.sampler();
     let indices: Vec<usize> = (0..k).map(|_| sampler.draw(rng)).collect();
     let factors: Vec<f64> = indices
@@ -396,7 +394,6 @@ pub fn draw_weighted<'d>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::ScoredDataset;
     use crate::oracle::CachedOracle;
 
     fn sample() -> OracleSample {

@@ -79,7 +79,7 @@ impl ThresholdSelector for TwoStagePrecision {
         // No threshold below the (n_match/γ)-th highest score can reach
         // precision γ; restrict stage 2 to the top records.
         let k = ((n_match / query.gamma()).ceil() as usize).clamp(1, n);
-        let subset: Vec<usize> = data.top_k(k);
+        let subset: Vec<usize> = data.top_k(k).iter().map(|&i| i as usize).collect();
 
         // --- Stage 2: candidate search within the restricted range. ---
         // The restricted sampler renormalizes lazily (inside the alias

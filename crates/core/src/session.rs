@@ -64,7 +64,7 @@ use crate::plan::{CalibrationProfile, Plan, PlanSignals, Planner};
 use crate::prepared::{DataView, PreparedDataset, QueryProbe, RecipeState, SamplerStrategy};
 use crate::query::{ApproxQuery, JointQuery, TargetKind};
 use crate::runtime::RuntimeConfig;
-use crate::segment::{Corpus, SegmentedDataset};
+use crate::segment::SegmentedDataset;
 use crate::selectors::{
     ImportancePrecision, ImportanceRecall, SelectorConfig, ThresholdSelector, TwoStagePrecision,
     UniformNoCiPrecision, UniformNoCiRecall, UniformPrecision, UniformRecall,
@@ -380,11 +380,9 @@ impl<'a> SupgSession<'a> {
     ///
     /// `data` is any [`SessionData`] source:
     /// * `&ScoredDataset` or `&SegmentedDataset` — a cold session that
-    ///   builds its sampling artifacts per query. A segmented corpus
-    ///   produces bit-identical [`QueryOutcome`]s to the flat one over
-    ///   the concatenated scores with the same seed, under every
-    ///   [`SamplerStrategy`] (pinned by
-    ///   `crates/core/tests/segmented_parity.rs`).
+    ///   builds its sampling artifacts per query. A segmented corpus is
+    ///   one flat dataset, so it produces the flat [`QueryOutcome`]s
+    ///   (pinned by `crates/core/tests/segmented_parity.rs`).
     /// * `&PreparedDataset` — reuses the dataset's cached sampling
     ///   artifacts instead of paying the O(n) weight/alias-table
     ///   construction per query; results are identical to the cold
@@ -413,7 +411,7 @@ impl<'a> SupgSession<'a> {
     /// The view selectors run against (dataset + optional artifact cache).
     fn view(&self) -> DataView<'_> {
         match &self.data {
-            SessionData::Cold(corpus) => DataView::cold(*corpus),
+            SessionData::Cold(data) => DataView::cold(data),
             SessionData::Prepared(prepared) => DataView::prepared(prepared),
         }
     }
@@ -548,20 +546,15 @@ impl<'a> SupgSession<'a> {
     /// pure input [`Plan::resolve`] consumes.
     fn signals(&self, planner: &Planner) -> PlanSignals {
         let cal = CalibrationProfile::measured();
-        let (corpus, recipe) = match &self.data {
-            SessionData::Cold(corpus) => (*corpus, RecipeState::Cold),
-            SessionData::Prepared(p) => (
-                p.corpus(),
-                p.recipe_state(self.config.weight_exponent, self.config.uniform_mix),
-            ),
-        };
-        let segments = match corpus {
-            Corpus::Flat(_) => 0,
-            Corpus::Segmented(s) => s.num_segments(),
+        let recipe = match &self.data {
+            SessionData::Cold(_) => RecipeState::Cold,
+            SessionData::Prepared(p) => {
+                p.recipe_state(self.config.weight_exponent, self.config.uniform_mix)
+            }
         };
         PlanSignals {
-            n: corpus.len(),
-            segments,
+            n: self.view().data().len(),
+            segments: 0,
             prepared: matches!(self.data, SessionData::Prepared(_)),
             recipe,
             requested_sampler: self.config.sampler,
@@ -766,29 +759,29 @@ impl<'a> SupgSession<'a> {
     }
 }
 
-/// What a session runs over ([`SupgSession::over`]): a cold corpus —
-/// flat or segmented — whose sampling artifacts are built per query, or a
+/// What a session runs over ([`SupgSession::over`]): a cold dataset
+/// whose sampling artifacts are built per query, or a
 /// [`PreparedDataset`] whose artifact cache every query shares, held
 /// borrowed or by an owned `Arc` (concurrent serving). Built by `From`
 /// from `&ScoredDataset`, `&SegmentedDataset`, `&PreparedDataset` and
 /// `Arc<PreparedDataset>`.
 #[derive(Debug, Clone)]
 pub enum SessionData<'a> {
-    /// Per-query artifact construction over a borrowed corpus.
-    Cold(Corpus<'a>),
+    /// Per-query artifact construction over a borrowed dataset.
+    Cold(&'a ScoredDataset),
     /// A prepared dataset's shared artifact cache.
     Prepared(Handle<'a, PreparedDataset>),
 }
 
 impl<'a> From<&'a ScoredDataset> for SessionData<'a> {
     fn from(data: &'a ScoredDataset) -> Self {
-        SessionData::Cold(Corpus::Flat(data))
+        SessionData::Cold(data)
     }
 }
 
 impl<'a> From<&'a SegmentedDataset> for SessionData<'a> {
     fn from(data: &'a SegmentedDataset) -> Self {
-        SessionData::Cold(Corpus::Segmented(data))
+        SessionData::Cold(data)
     }
 }
 
@@ -873,17 +866,15 @@ fn exec_single_view<'v>(
     let calls_before = oracle.calls_used();
     let retry_before = oracle.retry_stats();
     let labeling_before = labeling_clock::total();
-    let n_records = view.data().len();
-    // The corpus is borrowed *before* the probe shortens the view's
+    // The dataset is borrowed *before* the probe shortens the view's
     // lifetime — the returned result view must outlive the local probe.
-    let corpus = view.data();
+    let data = view.data();
+    let n_records = data.len();
     let probe = QueryProbe::new();
     let estimate = selector.estimate(view.with_probe(&probe), query, oracle, rng)?;
 
-    // R = R2 ∪ R1 off the corpus: flat corpora borrow the prefix
-    // from the global index with no copy; segmented corpora stitch it
-    // once from the per-segment indexes.
-    let result = ResultView::over(corpus, estimate.tau, estimate.sample.positive_indices());
+    // R = R2 ∪ R1: the prefix is borrowed from the rank index, no copy.
+    let result = ResultView::over(data, estimate.tau, estimate.sample.positive_indices());
 
     let stage_calls = oracle.calls_used() - calls_before;
     let retry = oracle.retry_stats().since(retry_before);

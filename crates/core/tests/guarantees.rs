@@ -11,7 +11,8 @@
 //!
 //! The 200-trial configurations are `#[ignore]`d to keep tier-1 fast; CI
 //! runs them in a dedicated job via `cargo test -q -- --ignored`. Quick
-//! 40-trial smoke versions always run.
+//! 40-trial smoke versions always run, as do two negative controls: the
+//! uncorrected U-NoCI selectors must *exceed* the same failure bound.
 //!
 //! Trials are fanned out over threads with seeds split **by trial index**
 //! (`supg_core::runtime::split_seed`), so the counts are reproducible
@@ -293,6 +294,45 @@ fn is_ci_p_guarantee_smoke_under_transient_faults() {
         0.9,
         QUICK_TRIALS,
         108,
+    );
+}
+
+// --- Negative controls: the harness can fail ---
+// U-NoCI-R / U-NoCI-P take the empirical threshold of a uniform sample
+// with no confidence correction. The paper (Figs 5–6) shows they miss
+// their target far more often than δ; the same harness that passes the
+// CI selectors must reject them, or its pass verdicts show nothing.
+
+fn assert_guarantee_fails(kind: SelectorKind, target: TargetKind, gamma: f64, base_seed: u64) {
+    let failures = count_failures_with(
+        kind,
+        target,
+        gamma,
+        QUICK_TRIALS,
+        base_seed,
+        SelectorConfig::default(),
+    );
+    let allowed = max_allowed_failures(QUICK_TRIALS, DELTA);
+    let name = kind.paper_name(target).unwrap();
+    assert!(
+        failures > allowed,
+        "{name} γ={gamma}: only {failures}/{QUICK_TRIALS} failures, within the {allowed} \
+         allowed — the harness cannot tell a selector without a guarantee from one with it"
+    );
+}
+
+#[test]
+fn u_noci_r_exceeds_the_failure_bound() {
+    assert_guarantee_fails(SelectorKind::UniformNoCi, TargetKind::Recall, 0.9, 0xBEEF);
+}
+
+#[test]
+fn u_noci_p_exceeds_the_failure_bound() {
+    assert_guarantee_fails(
+        SelectorKind::UniformNoCi,
+        TargetKind::Precision,
+        0.9,
+        0xBEEF,
     );
 }
 

@@ -9,7 +9,7 @@
 //!    chunks, caller pins honored verbatim).
 //! 2. **Parity** — a query executed through a [`Planner`] is
 //!    bit-identical to the same query hand-tuned to the plan's resolved
-//!    configuration, across RT/PT/JT, flat and segmented layouts, cold
+//!    configuration, across RT/PT/JT, flat and segmented constructions, cold
 //!    and warm caches, and every `parallelism`/`batch_size` setting
 //!    (the runtime knobs are unobservable in answer bits). The plan is
 //!    a debug report, never a different answer.

@@ -10,7 +10,7 @@
 //! distinct record consumes budget or touches the cache, and the label
 //! itself stays a pure function of the index. Pinned across all three
 //! target kinds (RT/PT/JT), parallelism ∈ {1, 4, 8}, and flat vs
-//! segmented corpora.
+//! segment-constructed corpora.
 
 use supg_core::{
     CachedOracle, FaultPlan, FaultyOracle, QueryOutcome, ResilientOracle, RetryPolicy,

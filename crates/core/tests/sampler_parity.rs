@@ -16,15 +16,15 @@
 //! 3. **Alias-build determinism.** The chunk-partitioned Vose feed build
 //!    must produce bit-identical tables at every parallelism and explicit
 //!    chunk count — mirroring `rank_parity.rs`'s build-determinism cases.
-//! 4. **`ResultView` vs the linear reference.** Flat, segmented and
-//!    `retain`-filtered views must agree with a linear-scan reference —
+//! 4. **`ResultView` vs the linear reference.** Views over flat and
+//!    segment-constructed datasets, and `retain`-filtered views, must agree with a linear-scan reference —
 //!    same order, membership, bounds and duplicate-freedom — at
 //!    thresholds on, between and outside the score boundaries, and
 //!    `run_view` must reproduce `run` bit-for-bit.
 //! 5. **One canonical sample order.** `OracleSample::label` and
 //!    `OracleSample::from_parts` order a sample identically — by the
-//!    packed `(score desc, index asc, draw position asc)` key — on flat
-//!    and segmented corpora alike.
+//!    packed `(score desc, index asc, draw position asc)` key — over flat
+//!    and segment-constructed datasets alike.
 
 use std::sync::Arc;
 
@@ -613,7 +613,7 @@ fn run_view_reproduces_run_bit_for_bit() {
                 let from_view: Vec<usize> = streamed.result.iter().collect();
                 assert_eq!(from_view.as_slice(), owned.result.indices(), "{context}");
                 // The prefix is the dataset's canonical rank order —
-                // borrowed for flat sources, stitched for segmented ones.
+                // borrowed from the one rank index for every source.
                 assert_eq!(
                     streamed.result.tau_prefix(),
                     &data.rank_index().order()[..streamed.result.threshold_len()],

@@ -1,12 +1,12 @@
-//! Flat ≡ segmented corpus parity: a session over a [`SegmentedDataset`]
-//! must produce a `QueryOutcome` **bit-identical** to a session over the
-//! flat [`ScoredDataset`] of the concatenated scores — same `τ` bits,
-//! same result order, same oracle-call accounting — at every segment
-//! size, every parallelism level, for RT, PT and JT queries alike, and
-//! under every sampler strategy (`Alias`, `Cdf` and `Auto`): both layouts
-//! build the same flat weights and samplers, so seeded draws are the
-//! same. Segments own their scores and rank indexes; the layout must
-//! never be observable in results.
+//! Flat ≡ segmented parity: a session over a [`SegmentedDataset`] must
+//! produce a `QueryOutcome` **bit-identical** to a session over the flat
+//! [`ScoredDataset`] of the same scores — same `τ` bits, same result
+//! order, same oracle-call accounting — at every segment size, every
+//! parallelism level, for RT, PT and JT queries alike, and under every
+//! sampler strategy (`Alias`, `Cdf` and `Auto`). Segments are a way to
+//! construct a corpus: a segmented dataset holds one flat dataset, so
+//! these suites pin the constructor, and the pooled rank build of its
+//! prepared form, against the serial flat path.
 
 use proptest::prelude::*;
 use supg_core::{
@@ -161,8 +161,8 @@ fn segmented_matches_flat_for_every_registry_selector() {
 
 #[test]
 fn prepared_segmented_matches_cold_flat() {
-    // The full serving path: per-segment rank indexes and sampling
-    // artifacts built eagerly on an 8-wide pool, served from the
+    // The full serving path: the rank index and sampling artifacts
+    // built eagerly on an 8-wide pool, served from the
     // prepared cache — against a from-scratch flat cold session, and
     // against a flat preparation with the same history (under `Auto` the
     // backend follows the cache state: warmed means alias, while a cold

@@ -128,86 +128,6 @@ pub fn read_csv(path: &Path) -> Result<LabeledData, CsvError> {
     from_csv_string(&fs::read_to_string(path)?)
 }
 
-/// Parses CSV text directly into segment-aligned score and label chunks.
-///
-/// Every chunk but the last holds exactly `segment_size` records, in file
-/// order — the shape `supg_core::SegmentedDataset::from_chunks` consumes,
-/// so a 10⁸–10⁹-record corpus can be loaded segment by segment without
-/// first materializing one contiguous column and re-splitting it. The
-/// label chunks mirror the score chunks record for record.
-///
-/// Parsing rules (header handling, value validation, 1-based error
-/// lines) are identical to [`from_csv_string`].
-///
-/// # Panics
-/// Panics if `segment_size == 0`.
-///
-/// # Errors
-/// As [`from_csv_string`].
-#[allow(clippy::type_complexity)]
-pub fn from_csv_string_segmented(
-    text: &str,
-    segment_size: usize,
-) -> Result<(Vec<Vec<f64>>, Vec<Vec<bool>>), CsvError> {
-    assert!(
-        segment_size > 0,
-        "from_csv_string_segmented: segment_size must be positive"
-    );
-    let mut score_chunks: Vec<Vec<f64>> = Vec::new();
-    let mut label_chunks: Vec<Vec<bool>> = Vec::new();
-    let mut scores = Vec::with_capacity(segment_size);
-    let mut labels = Vec::with_capacity(segment_size);
-    let mut seen_any = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if idx == 0 && line.eq_ignore_ascii_case("score,label") {
-            continue;
-        }
-        let (score, label) = parse_row(line, line_no)?;
-        seen_any = true;
-        scores.push(score);
-        labels.push(label);
-        if scores.len() == segment_size {
-            score_chunks.push(std::mem::replace(
-                &mut scores,
-                Vec::with_capacity(segment_size),
-            ));
-            label_chunks.push(std::mem::replace(
-                &mut labels,
-                Vec::with_capacity(segment_size),
-            ));
-        }
-    }
-    if !scores.is_empty() {
-        score_chunks.push(scores);
-        label_chunks.push(labels);
-    }
-    if !seen_any {
-        return Err(CsvError::Empty);
-    }
-    Ok((score_chunks, label_chunks))
-}
-
-/// Reads a CSV file into segment-aligned score and label chunks — see
-/// [`from_csv_string_segmented`].
-///
-/// # Panics
-/// Panics if `segment_size == 0`.
-///
-/// # Errors
-/// As [`from_csv_string`], plus [`CsvError::Io`] on read failure.
-#[allow(clippy::type_complexity)]
-pub fn read_csv_segmented(
-    path: &Path,
-    segment_size: usize,
-) -> Result<(Vec<Vec<f64>>, Vec<Vec<bool>>), CsvError> {
-    from_csv_string_segmented(&fs::read_to_string(path)?, segment_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,70 +185,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn segmented_parse_is_aligned_and_matches_flat() {
-        let d = LabeledData::new(
-            (0..10).map(|i| f64::from(i) / 10.0).collect(),
-            (0..10).map(|i| i % 3 == 0).collect(),
-        );
-        let csv = to_csv_string(&d);
-        let (score_chunks, label_chunks) = from_csv_string_segmented(&csv, 4).unwrap();
-        // 10 records at segment size 4: [4, 4, 2] — only the tail is short.
-        assert_eq!(
-            score_chunks.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![4, 4, 2]
-        );
-        assert_eq!(
-            label_chunks.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![4, 4, 2]
-        );
-        let flat_scores: Vec<f64> = score_chunks.concat();
-        let flat_labels: Vec<bool> = label_chunks.concat();
-        assert_eq!(flat_scores, d.scores());
-        assert_eq!(flat_labels, d.labels());
-        // Segment size beyond the corpus degenerates to one chunk.
-        let (one, _) = from_csv_string_segmented(&csv, 64).unwrap();
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0], d.scores());
-    }
-
-    #[test]
-    fn segmented_parse_reports_the_same_error_lines() {
-        // A malformed row surfaces the same 1-based line number whether
-        // the corpus is loaded flat or segment-aligned.
-        let text = "score,label\n0.5,1\n0.25,0\noops\n";
-        let flat = from_csv_string(text).unwrap_err();
-        let segd = from_csv_string_segmented(text, 2).unwrap_err();
-        match (&flat, &segd) {
-            (CsvError::Parse { line: a, .. }, CsvError::Parse { line: b, .. }) => {
-                assert_eq!(*a, 4);
-                assert_eq!(*b, 4);
-            }
-            other => panic!("unexpected errors {other:?}"),
-        }
-        assert!(matches!(
-            from_csv_string_segmented("score,label\n\n", 8),
-            Err(CsvError::Empty)
-        ));
-    }
-
-    #[test]
-    fn round_trips_through_segmented_file() {
-        let d = toy();
-        let path = std::env::temp_dir().join("supg_io_segmented_test.csv");
-        write_csv(&d, &path).unwrap();
-        let (scores, labels) = read_csv_segmented(&path, 2).unwrap();
-        let _ = fs::remove_file(&path);
-        assert_eq!(scores.concat(), d.scores());
-        assert_eq!(labels.concat(), d.labels());
-    }
-
-    #[test]
-    #[should_panic(expected = "segment_size must be positive")]
-    fn segmented_parse_rejects_zero_segment_size() {
-        let _ = from_csv_string_segmented("0.5,1\n", 0);
-    }
-
     mod prop {
         use super::*;
         use proptest::prelude::*;
@@ -365,33 +221,6 @@ mod tests {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }
                 prop_assert_eq!(back.labels(), d.labels());
-            }
-
-            // The segment-aligned loader parses the same records as the
-            // flat loader at any segment size, with every chunk but the
-            // last exactly segment_size long.
-            #[test]
-            fn segmented_parse_matches_flat_at_any_segment_size(
-                rows in proptest::prop::collection::vec((score_strategy(), any::<bool>()), 1..120),
-                segment_size in 1usize..140,
-            ) {
-                let (scores, labels): (Vec<f64>, Vec<bool>) = rows.into_iter().unzip();
-                let d = LabeledData::new(scores, labels);
-                let csv = to_csv_string(&d);
-                let (score_chunks, label_chunks) =
-                    from_csv_string_segmented(&csv, segment_size).unwrap();
-                prop_assert_eq!(score_chunks.len(), d.len().div_ceil(segment_size));
-                for (c, chunk) in score_chunks.iter().enumerate() {
-                    prop_assert_eq!(chunk.len(), label_chunks[c].len());
-                    if c + 1 < score_chunks.len() {
-                        prop_assert_eq!(chunk.len(), segment_size);
-                    }
-                }
-                let flat: Vec<f64> = score_chunks.concat();
-                for (a, b) in flat.iter().zip(d.scores()) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-                prop_assert_eq!(label_chunks.concat(), d.labels());
             }
         }
     }

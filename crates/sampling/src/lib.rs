@@ -24,12 +24,10 @@
 //! [`reservoir`] adds single-pass reservoir sampling (Algorithm L) for
 //! streaming ingestion scenarios.
 //!
-//! Nothing here knows how a corpus is split into segments: the importance
-//! distribution is one distribution over all of `D`, so every artifact is
-//! one flat array per weight recipe. `supg-core` builds the same
-//! [`ImportanceWeights`] and samplers for flat and segmented corpora,
-//! splitting only the element-wise `A(x)^p` pass ([`apply_exponent`])
-//! into per-segment jobs.
+//! The importance distribution is one distribution over all of `D`, so
+//! every artifact is one flat array per weight recipe; `supg-core` splits
+//! only the element-wise `A(x)^p` pass ([`apply_exponent`]) into pool
+//! jobs.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -63,12 +63,12 @@ impl SessionPool {
         Ok(shared)
     }
 
-    /// Convenience: splits raw proxy scores into fixed-size segments (the
-    /// 10⁸–10⁹-record layout — each segment owns its scores and rank
-    /// index; the sampling artifacts are one array per recipe, as for a
-    /// flat corpus) and registers the prepared corpus. Admitted queries
-    /// answer bit-identically to a flat registration of the same scores
-    /// under every sampler strategy.
+    /// Convenience: constructs a corpus from raw proxy scores handed over
+    /// as fixed-size segments ([`SegmentedDataset::new`]) and registers
+    /// it. Segments are a way to construct the corpus, not a layout: the
+    /// registration holds one flat dataset, so admitted queries take the
+    /// flat path and answer bit-identically to
+    /// [`register_scores`](Self::register_scores) of the same scores.
     ///
     /// # Errors
     /// [`SupgError`] when the scores are invalid (empty, NaN, out of

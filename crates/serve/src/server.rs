@@ -609,8 +609,8 @@ mod tests {
     #[test]
     fn segmented_registration_serves_identical_outcomes() {
         // The serving path over a segmented registration: same spec, same
-        // seed, same answer bits as the flat registration — the segment
-        // layout is never visible to a tenant.
+        // seed, same answer bits as the flat registration — segments only
+        // construct the corpus, which is served flat.
         let n = 20_000;
         let scores: Vec<f64> = (0..n).map(|i| (i % 1000) as f64 / 1000.0).collect();
         let labels: Vec<bool> = scores.iter().map(|&s| s > 0.8).collect();

@@ -143,26 +143,21 @@
 //! the owned materialization is deferred until you call `into_owned()`
 //! (which is all `run` does).
 //!
-//! ## Segmented datasets: 10⁸–10⁹-record corpora
+//! ## Segmented datasets
 //!
-//! One global rank index is the wrong artifact once the corpus stops
-//! fitting comfortably in a single sort: construction serializes on one
-//! n-record merge and the whole index must exist before the first
-//! query. [`core::SegmentedDataset`] splits the score column into
-//! fixed-size segments that each own their scores and rank index —
-//! built fully in parallel with no final re-merge — while threshold sets
-//! are stitched across segment heads in canonical order (descending
-//! score, ties by ascending record index). The sampling artifacts are
-//! one array per weight recipe, exactly as for a flat corpus: only the
-//! `A(x)^p` pass runs one pool job per segment. Sessions run over it
-//! unchanged (`SupgSession::over(&segmented)`, or
-//! `PreparedDataset::from_segmented` for the cached serving path), and
-//! the outcome is **bit-identical** to the flat layout at every segment
-//! size and parallelism under every sampler strategy — the layout is
-//! never visible in results. CSV corpora load segment-aligned
-//! via [`datasets::io::from_csv_string_segmented`] without ever
-//! materializing the contiguous column. See the "Segmented datasets"
-//! section of [`core`] for the design and the parity-test inventory.
+//! A corpus handed over as fixed-size segments (one proxy pass per shard
+//! or file) is constructed with [`core::SegmentedDataset`]. Segments are
+//! a way to *construct* a corpus, not a second layout: the constructor
+//! validates the scores and holds one flat dataset, whose rank index is
+//! one planner-calibrated parallel build, merged once at prepare time.
+//! Every query then takes the one flat path — the threshold set is a
+//! zero-copy prefix of the one canonical rank order (descending score,
+//! ties by ascending record index), and the sampling artifacts are the
+//! flat builds. Sessions run over it unchanged
+//! (`SupgSession::over(&segmented)`, or `PreparedDataset::from_segmented`
+//! for the cached serving path), and the outcome is **bit-identical** to
+//! the flat dataset's at every segment size. See the "Segmented
+//! datasets" section of [`core`].
 //!
 //! ## Serving under concurrency
 //!
